@@ -1,10 +1,12 @@
 """Reproducible perf harness for the vectorized hot-path kernels.
 
-Times the scalar (``backend="python"``) against the vectorized
-(``backend="numpy"``) implementations of the three cost-model hot
-paths — CDS refinement, DRP allocation and the contiguous DP — and
-writes ``BENCH_core.json`` at the repository root so successive PRs
-accumulate a perf trajectory.
+Times the production (numpy) implementations of the three cost-model
+hot paths — CDS refinement, DRP allocation and the contiguous DP —
+against the scalar references of :mod:`repro.verify.reference`, and
+writes ``BENCH_core.json`` at the repository root so successive runs
+accumulate a perf trajectory.  The JSON keeps its historical column
+names: ``python_seconds`` is the scalar reference, ``numpy_seconds``
+the production path.
 
 Run standalone (CI smoke run uses ``--sizes 100``)::
 
@@ -23,9 +25,10 @@ in-run assert that both modes executed the identical move sequence,
 and each row records the *measured* Δc evaluation count
 (``delta_evaluations_measured``), its per-move rate and the
 ``per_move_reduction`` the dirty-pair index achieves (schema v3).  The
-contiguous DP cell times divide-and-conquer against SMAWK on the same
-structure-of-arrays prefix sums and cross-checks that every method
-returns the identical cost.  Scalar backends are skipped above
+contiguous DP cell times the divide-and-conquer reference against
+production SMAWK on the same structure-of-arrays prefix sums and
+cross-checks that every DP returns the identical cost.  Scalar
+references are skipped above
 ``--scalar-limit`` items and the quadratic DP oracle above
 ``--dp-oracle-limit`` — O(K·N²) in pure Python is minutes at N=10k —
 with the skip recorded in the JSON rather than silently dropped.
@@ -66,6 +69,7 @@ from repro.core.drp import drp_allocate
 from repro.core.item import items_created
 from repro.core.kernels import HAS_NUMBA
 from repro.core.partition import PrefixSums, contiguous_optimal
+from repro.verify import reference
 from repro.workloads.generator import WorkloadSpec, generate_database
 
 SCHEMA_VERSION = 3
@@ -176,7 +180,7 @@ def run_benchmarks(
         time_scalar = n <= scalar_limit
         profile_memory = n <= memory_profile_limit
         skip_note = (
-            f"python backend skipped above N={scalar_limit}"
+            f"scalar reference skipped above N={scalar_limit}"
             if not time_scalar
             else None
         )
@@ -186,10 +190,7 @@ def run_benchmarks(
         created_before = items_created()
         numpy_s, vector = _median_seconds_with_result(
             lambda: cds_refine(
-                cds_seed,
-                max_iterations=cds_iterations,
-                backend="numpy",
-                scan="full",
+                cds_seed, max_iterations=cds_iterations, scan="full"
             ),
             repeats,
         )
@@ -197,10 +198,7 @@ def run_benchmarks(
         created_before = items_created()
         incremental_s, incremental = _median_seconds_with_result(
             lambda: cds_refine(
-                cds_seed,
-                max_iterations=cds_iterations,
-                backend="numpy",
-                scan="incremental",
+                cds_seed, max_iterations=cds_iterations, scan="incremental"
             ),
             repeats,
         )
@@ -210,16 +208,13 @@ def run_benchmarks(
         assert incremental.cost == vector.cost, "scan modes diverged — bug"
         python_s = None
         if time_scalar:
-            scalar = cds_refine(
-                cds_seed, max_iterations=cds_iterations, backend="python"
-            )
-            assert scalar.moves == vector.moves, "backends diverged — bug"
-            python_s = _median_seconds(
-                lambda: cds_refine(
-                    cds_seed, max_iterations=cds_iterations, backend="python"
+            python_s, scalar = _median_seconds_with_result(
+                lambda: reference.cds_refine(
+                    cds_seed, max_iterations=cds_iterations
                 ),
                 repeats,
             )
+            assert scalar.moves == vector.moves, "reference diverged — bug"
 
         def _per_move(result) -> Optional[float]:
             if not result.moves:
@@ -273,7 +268,6 @@ def run_benchmarks(
                         lambda: cds_refine(
                             cds_seed,
                             max_iterations=cds_iterations,
-                            backend="numpy",
                             scan=scan_mode,
                         )
                     )
@@ -290,17 +284,14 @@ def run_benchmarks(
         python_s = None
         if time_scalar:
             python_s = _median_seconds(
-                lambda: drp_allocate(
-                    database, k, split_policy="max-reduction",
-                    backend="python",
+                lambda: reference.drp_allocate(
+                    database, k, split_policy="max-reduction"
                 ),
                 repeats,
             )
         created_before = items_created()
         numpy_s = _median_seconds(
-            lambda: drp_allocate(
-                database, k, split_policy="max-reduction", backend="numpy"
-            ),
+            lambda: drp_allocate(database, k, split_policy="max-reduction"),
             repeats,
         )
         materialized = items_created() - created_before
@@ -315,8 +306,7 @@ def run_benchmarks(
             "tracemalloc_peak_bytes": (
                 _tracemalloc_peak(
                     lambda: drp_allocate(
-                        database, k, split_policy="max-reduction",
-                        backend="numpy",
+                        database, k, split_policy="max-reduction"
                     )
                 )
                 if profile_memory
@@ -328,8 +318,8 @@ def run_benchmarks(
             row["note"] = skip_note
         results.append(row)
 
-        # --- Contiguous DP: quadratic oracle vs D&C vs SMAWK ---------
-        # All methods time the same structure-of-arrays prefix sums;
+        # --- Contiguous DP: quadratic and D&C references vs SMAWK ----
+        # All DPs time the same structure-of-arrays prefix sums;
         # building them is a one-off O(N) cumsum kept outside the
         # timed region.
         order = database.benefit_ratio_order()
@@ -338,27 +328,23 @@ def run_benchmarks(
         )
         row = {"kernel": "contiguous_dp", "n": n, "k": k}
         dc_s, (_, dc_cost) = _median_seconds_with_result(
-            lambda: contiguous_optimal(
-                None, k, method="divide-conquer", sums=sums
-            ),
+            lambda: reference.contiguous_divide_conquer(None, k, sums=sums),
             repeats,
         )
         smawk_s, (_, smawk_cost) = _median_seconds_with_result(
-            lambda: contiguous_optimal(None, k, method="smawk", sums=sums),
+            lambda: contiguous_optimal(None, k, sums=sums),
             repeats,
         )
-        assert dc_cost == smawk_cost, "DP methods diverged — bug"
+        assert dc_cost == smawk_cost, "DP reference diverged — bug"
         row["divide_conquer_seconds"] = dc_s
         row["smawk_seconds"] = smawk_s
         row["smawk_speedup_vs_divide_conquer"] = _speedup(dc_s, smawk_s)
         if n <= dp_oracle_limit:
             quad_s, (_, quad_cost) = _median_seconds_with_result(
-                lambda: contiguous_optimal(
-                    None, k, method="quadratic", sums=sums
-                ),
+                lambda: reference.contiguous_quadratic(None, k, sums=sums),
                 max(1, repeats if n <= 200 else 1),
             )
-            assert quad_cost == dc_cost, "DP methods diverged — bug"
+            assert quad_cost == dc_cost, "DP reference diverged — bug"
             row["quadratic_seconds"] = quad_s
             row["speedup"] = _speedup(quad_s, dc_s)
         else:
@@ -370,7 +356,7 @@ def run_benchmarks(
             )
         row["tracemalloc_peak_bytes"] = (
             _tracemalloc_peak(
-                lambda: contiguous_optimal(None, k, method="smawk", sums=sums)
+                lambda: contiguous_optimal(None, k, sums=sums)
             )
             if profile_memory
             else None
@@ -460,7 +446,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scalar-limit", type=int, default=DEFAULT_SCALAR_LIMIT,
-        help="largest N the pure-Python backends are timed at "
+        help="largest N the scalar references are timed at "
              "(default: 20000)",
     )
     parser.add_argument(

@@ -38,7 +38,7 @@ except ImportError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service import BroadcastService, drifting_stream
-from repro.service.serve import _cost_under_profile
+from repro.core.cost import cost_under_profile
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.sketch import CountMinSketch
 
@@ -141,10 +141,10 @@ def run_benchmarks(
     # Judge both final allocations under the oracle's exact belief —
     # the same yardstick as tests/test_serve.py.
     truth = finals["exact"].profile()
-    sketch_cost = _cost_under_profile(
+    sketch_cost = cost_under_profile(
         finals["sketch"].live.allocation, truth
     )
-    oracle_cost = _cost_under_profile(finals["exact"].live.allocation, truth)
+    oracle_cost = cost_under_profile(finals["exact"].live.allocation, truth)
     results = [rows["sketch"], rows["exact"]]
     results[0]["final_cost_ratio_vs_exact"] = sketch_cost / oracle_cost
     results[0]["state_ratio_vs_exact"] = (

@@ -25,7 +25,6 @@ Quickstart
 from repro.core import (
     AllocationOutcome,
     Allocator,
-    BACKENDS,
     BroadcastDatabase,
     CDSOnlyAllocator,
     CDSResult,
@@ -35,7 +34,6 @@ from repro.core import (
     DRPAllocator,
     DRPCDSAllocator,
     DRPResult,
-    HAS_NUMPY,
     allocation_cost,
     available_allocators,
     average_waiting_time,
@@ -50,7 +48,6 @@ from repro.core import (
     make_allocator,
     move_delta,
     register_allocator,
-    resolve_backend,
     waiting_time_from_cost,
 )
 from repro.io import (
@@ -102,10 +99,6 @@ __all__ = [
     "best_split",
     "best_split_in",
     "contiguous_optimal",
-    # backends
-    "BACKENDS",
-    "HAS_NUMPY",
-    "resolve_backend",
     "Allocator",
     "AllocationOutcome",
     "DRPAllocator",

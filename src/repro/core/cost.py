@@ -22,7 +22,7 @@ minimises ``W_b``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.item import DataItem
@@ -34,6 +34,7 @@ __all__ = [
     "group_aggregates",
     "allocation_cost",
     "soa_allocation_cost",
+    "cost_under_profile",
     "channel_costs",
     "item_waiting_time",
     "channel_waiting_time",
@@ -119,6 +120,24 @@ def soa_allocation_cost(frequencies, sizes, index_groups) -> float:
 
 # ----------------------------------------------------------------------
 # Waiting times
+def cost_under_profile(
+    allocation: ChannelAllocation, profile: Mapping[str, float]
+) -> float:
+    """Eq.-(3) cost of an allocation under a substituted frequency map.
+
+    ``profile`` maps every item id to the frequency to charge it with
+    (e.g. the true popularity while the allocation was built from an
+    estimate).  Plain left-to-right sums per channel, so the serve and
+    adaptive epoch reports stay bitwise stable.
+    """
+    total = 0.0
+    for group in allocation.channels:
+        freq = sum(profile[item.item_id] for item in group)
+        size = sum(item.size for item in group)
+        total += freq * size
+    return total
+
+
 # ----------------------------------------------------------------------
 def item_waiting_time(
     item: DataItem,

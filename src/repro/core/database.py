@@ -43,8 +43,9 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.item import DataItem
-from repro.core.kernels import HAS_NUMPY, np
 from repro.exceptions import InvalidDatabaseError, InvalidItemError
 
 __all__ = ["BroadcastDatabase", "FREQUENCY_SUM_TOLERANCE"]
@@ -151,13 +152,10 @@ class BroadcastDatabase:
 
     @staticmethod
     def _freeze(values: Sequence[float]):
-        """Per-item feature storage: a read-only float64 array (or a
-        plain list when numpy is unavailable)."""
-        if HAS_NUMPY:
-            array = np.array(values, dtype=np.float64)
-            array.setflags(write=False)
-            return array
-        return list(map(float, values))  # pragma: no cover - numpy baked in
+        """Per-item feature storage: a read-only float64 array."""
+        array = np.array(values, dtype=np.float64)
+        array.setflags(write=False)
+        return array
 
     # ------------------------------------------------------------------
     # Array-native constructor
@@ -213,27 +211,18 @@ class BroadcastDatabase:
         return self
 
     def _validate_soa(self, require_normalized: bool) -> None:
-        if HAS_NUMPY:
-            freq, size = self._freq, self._size
-            bad = ~(np.isfinite(freq) & (freq > 0.0))
-            bad |= ~(np.isfinite(size) & (size > 0.0))
-            if bool(bad.any()):
-                index = int(np.argmax(bad))
-                raise InvalidItemError(
-                    f"features of {self.item_id_at(index)!r} must be finite "
-                    f"and > 0, got frequency={float(freq[index])!r} "
-                    f"size={float(size[index])!r}"
-                )
-            freq_list = freq.tolist()
-            size_list = size.tolist()
-        else:  # pragma: no cover - numpy baked into the image
-            freq_list, size_list = self._freq, self._size
-            for index, (f, z) in enumerate(zip(freq_list, size_list)):
-                if not (math.isfinite(f) and f > 0.0 and math.isfinite(z) and z > 0.0):
-                    raise InvalidItemError(
-                        f"features of {self.item_id_at(index)!r} must be "
-                        f"finite and > 0, got frequency={f!r} size={z!r}"
-                    )
+        freq, size = self._freq, self._size
+        bad = ~(np.isfinite(freq) & (freq > 0.0))
+        bad |= ~(np.isfinite(size) & (size > 0.0))
+        if bool(bad.any()):
+            index = int(np.argmax(bad))
+            raise InvalidItemError(
+                f"features of {self.item_id_at(index)!r} must be finite "
+                f"and > 0, got frequency={float(freq[index])!r} "
+                f"size={float(size[index])!r}"
+            )
+        freq_list = freq.tolist()
+        size_list = size.tolist()
         if self._ids is not None:
             seen: Dict[str, int] = {}
             for item_id in self._ids:
@@ -259,8 +248,7 @@ class BroadcastDatabase:
     def frequencies(self):
         """Per-item access frequencies in catalogue order.
 
-        A read-only float64 array (a list when numpy is unavailable).
-        The exact floats the item view exposes — no copies, no rounding.
+        A read-only float64 array: the exact floats the item view exposes — no copies, no rounding.
         """
         return self._freq
 
@@ -292,29 +280,18 @@ class BroadcastDatabase:
         """Catalogue indices sorted by descending benefit ratio ``f/z``.
 
         Ties break by catalogue order (stable sort), exactly matching
-        :meth:`sorted_by_benefit_ratio`; the result is cached.  Returns
-        an intp array (a list of ints without numpy).
+        :meth:`sorted_by_benefit_ratio`; the result is cached as a
+        read-only intp array.
         """
         if self._br_order is None:
-            if HAS_NUMPY:
-                ratios = self._freq / self._size
-                order = np.argsort(-ratios, kind="stable")
-                order.setflags(write=False)
-            else:  # pragma: no cover - numpy baked in
-                ratios = [f / z for f, z in zip(self._freq, self._size)]
-                order = sorted(range(len(ratios)), key=lambda i: (-ratios[i], i))
+            order = np.argsort(-(self._freq / self._size), kind="stable")
+            order.setflags(write=False)
             self._br_order = order
         return self._br_order
 
     def frequency_order(self):
         """Catalogue indices sorted by descending access frequency."""
-        if HAS_NUMPY:
-            return np.argsort(
-                -np.asarray(self._freq, dtype=np.float64), kind="stable"
-            )
-        return sorted(  # pragma: no cover - numpy baked in
-            range(len(self._freq)), key=lambda i: (-self._freq[i], i)
-        )
+        return np.argsort(-self._freq, kind="stable")
 
     def with_frequencies(
         self,
@@ -348,8 +325,8 @@ class BroadcastDatabase:
     # Lazy view materialisation
     # ------------------------------------------------------------------
     def _materialize_items(self) -> Tuple[DataItem, ...]:
-        freq = self._freq.tolist() if HAS_NUMPY else self._freq
-        size = self._size.tolist() if HAS_NUMPY else self._size
+        freq = self._freq.tolist()
+        size = self._size.tolist()
         labels = self._labels
         items = tuple(
             DataItem(
@@ -392,15 +369,11 @@ class BroadcastDatabase:
             return True
         if len(self) != len(other):
             return False
-        if HAS_NUMPY:
-            if not (
-                np.array_equal(self._freq, other._freq)
-                and np.array_equal(self._size, other._size)
-            ):
-                return False
-        else:  # pragma: no cover - numpy baked in
-            if self._freq != other._freq or self._size != other._size:
-                return False
+        if not (
+            np.array_equal(self._freq, other._freq)
+            and np.array_equal(self._size, other._size)
+        ):
+            return False
         if (
             self._ids is None
             and other._ids is None
@@ -410,10 +383,7 @@ class BroadcastDatabase:
         return self.item_ids == other.item_ids
 
     def __hash__(self) -> int:
-        if HAS_NUMPY:
-            features = (self._freq.tobytes(), self._size.tobytes())
-        else:  # pragma: no cover - numpy baked in
-            features = (tuple(self._freq), tuple(self._size))
+        features = (self._freq.tobytes(), self._size.tobytes())
         return hash((self.item_ids, features))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -438,7 +408,7 @@ class BroadcastDatabase:
     def __setstate__(self, state) -> None:
         self._freq = state["freq"]
         self._size = state["size"]
-        if HAS_NUMPY and hasattr(self._freq, "setflags"):
+        if hasattr(self._freq, "setflags"):
             self._freq.setflags(write=False)
             self._size.setflags(write=False)
         self._ids = state["ids"]
@@ -485,11 +455,7 @@ class BroadcastDatabase:
     @property
     def fixed_download_cost(self) -> float:
         """The allocation-independent term :math:`\\sum f_i z_i` of Eq. (2)."""
-        if HAS_NUMPY:
-            return math.fsum((self._freq * self._size).tolist())
-        return math.fsum(  # pragma: no cover - numpy baked in
-            f * z for f, z in zip(self._freq, self._size)
-        )
+        return math.fsum((self._freq * self._size).tolist())
 
     def sorted_by_benefit_ratio(self) -> Tuple[DataItem, ...]:
         """Items sorted by benefit ratio ``f/z`` in descending order.
@@ -515,11 +481,7 @@ class BroadcastDatabase:
     def normalized(self) -> "BroadcastDatabase":
         """Return a copy whose frequencies are rescaled to sum to 1."""
         factor = 1.0 / self._total_frequency
-        if HAS_NUMPY:
-            rescaled = self._freq * factor
-        else:  # pragma: no cover - numpy baked in
-            rescaled = [f * factor for f in self._freq]
-        return self.with_frequencies(rescaled)
+        return self.with_frequencies(self._freq * factor)
 
     def subset(self, item_ids: Sequence[str]) -> Tuple[DataItem, ...]:
         """Look up a sequence of items by id, preserving the given order."""

@@ -36,10 +36,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core import kernels
 from repro.core.allocation import ChannelAllocation
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
@@ -51,18 +50,10 @@ __all__ = [
     "DRPResult",
     "drp_allocate",
     "SPLIT_POLICIES",
-    "AUTO_BACKEND_CROSSOVER",
 ]
 
 #: Recognised split-selection policies (see module docstring).
 SPLIT_POLICIES = ("max-cost", "max-reduction")
-
-#: Below this catalogue size, ``backend="auto"`` resolves to the scalar
-#: split scan: per-call numpy dispatch overhead swallows the
-#: vectorization win on short ranges (BENCH_core.json measured 1.04× at
-#: N=100 when "auto" meant "always numpy").  An explicit
-#: ``backend="numpy"`` request is still honoured at any size.
-AUTO_BACKEND_CROSSOVER = 512
 
 
 @dataclass(frozen=True)
@@ -121,11 +112,9 @@ class DRPResult:
     #: ``iterations + 1`` and the series is non-increasing whenever a
     #: split cannot raise the cost (always true for optimal splits).
     cost_trajectory: Tuple[float, ...] = ()
-    #: The concrete split-scan implementation that ran: ``"python"`` or
-    #: ``"numpy"``.  ``backend="auto"`` resolves by catalogue size (see
-    #: :data:`AUTO_BACKEND_CROSSOVER`), so callers and tests can pin the
-    #: resolution here.
-    resolved_backend: str = ""
+    #: The split-scan implementation that ran.  Always ``"numpy"`` for
+    #: :func:`drp_allocate`; benchmark provenance records it.
+    resolved_backend: str = "numpy"
 
 
 def drp_allocate(
@@ -135,7 +124,6 @@ def drp_allocate(
     split_policy: str = "max-cost",
     trace: bool = False,
     presorted_items: Optional[Sequence[DataItem]] = None,
-    backend: str = "auto",
 ) -> DRPResult:
     """Run Algorithm DRP on ``database`` for ``num_channels`` channels.
 
@@ -159,13 +147,6 @@ def drp_allocate(
         (e.g. sorting by frequency or size instead); must be a
         permutation of the database.  Default: descending ``br`` order,
         exactly as the paper prescribes.
-    backend:
-        ``"python"``, ``"numpy"`` or ``"auto"`` (default) — which
-        implementation of the split scan to use.  ``"auto"`` picks the
-        scalar path below :data:`AUTO_BACKEND_CROSSOVER` items (numpy
-        dispatch overhead dominates there) and numpy above it.  Both
-        produce identical splits; the choice taken is reported in
-        :attr:`DRPResult.resolved_backend`.
 
     Returns
     -------
@@ -186,13 +167,11 @@ def drp_allocate(
     algorithm keeps anyway, so enabling tracing cannot change the
     allocation.
     """
-    resolved_backend = _resolve_backend_by_size(backend, len(database))
     with obs.span(
         "drp.allocate",
         items=len(database),
         channels=num_channels,
         split_policy=split_policy,
-        backend=resolved_backend,
     ) as span:
         result = _drp_allocate(
             database,
@@ -200,9 +179,7 @@ def drp_allocate(
             split_policy=split_policy,
             trace=trace,
             presorted_items=presorted_items,
-            backend=resolved_backend,
         )
-        result.resolved_backend = resolved_backend
         span.update(
             cost=result.cost,
             iterations=result.iterations,
@@ -221,22 +198,6 @@ def drp_allocate(
     return result
 
 
-def _resolve_backend_by_size(backend: str, num_items: int) -> str:
-    """Resolve ``"auto"`` with the size-based crossover.
-
-    Both backends compute identical splits, so the crossover is purely
-    a latency decision: it never changes an allocation.
-    """
-    resolved = kernels.resolve_backend(backend)
-    if (
-        backend == "auto"
-        and resolved == "numpy"
-        and num_items < AUTO_BACKEND_CROSSOVER
-    ):
-        return "python"
-    return resolved
-
-
 def _drp_allocate(
     database: BroadcastDatabase,
     num_channels: int,
@@ -244,9 +205,18 @@ def _drp_allocate(
     split_policy: str,
     trace: bool,
     presorted_items: Optional[Sequence[DataItem]],
-    backend: str,
+    split_scan: Optional[
+        Callable[[PrefixSums, int, int], Tuple[int, float]]
+    ] = None,
 ) -> DRPResult:
-    """The uninstrumented DRP body (see :func:`drp_allocate`)."""
+    """The uninstrumented DRP body (see :func:`drp_allocate`).
+
+    ``split_scan`` replaces :func:`best_split_in` as Procedure
+    ``Partition``; only :mod:`repro.verify.reference` passes one, to
+    drive this exact heap loop with the scalar scan.
+    """
+    if split_scan is None:
+        split_scan = best_split_in
     n = len(database)
     if not 1 <= num_channels <= n:
         raise InfeasibleProblemError(
@@ -256,8 +226,7 @@ def _drp_allocate(
         raise InfeasibleProblemError(
             f"unknown split_policy {split_policy!r}; choose from {SPLIT_POLICIES}"
         )
-    use_arrays = presorted_items is None and kernels.HAS_NUMPY
-    if use_arrays:
+    if presorted_items is None:
         # Array-resident path: the benefit-ratio permutation and the
         # prefix sums come straight off the database's feature arrays —
         # zero DataItem objects at any catalogue size.  np.argsort with
@@ -268,10 +237,6 @@ def _drp_allocate(
         sums = PrefixSums.from_arrays(
             database.frequencies[order], database.sizes[order]
         )
-    elif presorted_items is None:  # pragma: no cover - numpy baked in
-        ordered = database.sorted_by_benefit_ratio()
-        order = None
-        sums = PrefixSums(ordered)
     else:
         ordered = tuple(presorted_items)
         if sorted(item.item_id for item in ordered) != sorted(database.item_ids):
@@ -319,9 +284,7 @@ def _drp_allocate(
         else:
             splits_evaluated += 1
             heap_pushes += 1
-            split_offset, split_cost = best_split_in(
-                sums, start, stop, backend=backend
-            )
+            split_offset, split_cost = split_scan(sums, start, stop)
             reduction = sums.cost(start, stop) - split_cost
             heapq.heappush(
                 heap, (-reduction, next(counter), start, stop, split_offset)
@@ -364,9 +327,7 @@ def _drp_allocate(
         _, _, start, stop, split_offset = heapq.heappop(heap)
         if split_offset is None:
             splits_evaluated += 1
-            split_offset, split_cost = best_split_in(
-                sums, start, stop, backend=backend
-            )
+            split_offset, split_cost = split_scan(sums, start, stop)
         else:
             split_cost = None
         middle = start + split_offset

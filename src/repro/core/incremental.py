@@ -60,8 +60,9 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro import obs
-from repro.core import kernels
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import cds_refine
 from repro.core.cost import allocation_cost
@@ -335,15 +336,11 @@ def _cold_pipeline(
     num_channels: int,
     *,
     max_iterations: Optional[int],
-    backend: str,
     scan: str = "auto",
 ) -> WarmStartResult:
-    rough = drp_allocate(database, num_channels, backend=backend)
+    rough = drp_allocate(database, num_channels)
     refined = cds_refine(
-        rough.allocation,
-        max_iterations=max_iterations,
-        backend=backend,
-        scan=scan,
+        rough.allocation, max_iterations=max_iterations, scan=scan
     )
     return WarmStartResult(
         allocation=refined.allocation,
@@ -364,7 +361,6 @@ def warm_start_refine(
     *,
     regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
     max_iterations: Optional[int] = None,
-    backend: str = "auto",
     scan: str = "auto",
 ) -> WarmStartResult:
     """Re-refine ``database`` warm-starting from a previous grouping.
@@ -403,7 +399,6 @@ def warm_start_refine(
                 database,
                 num_channels,
                 max_iterations=max_iterations,
-                backend=backend,
                 scan=scan,
             )
             _bump("incremental.cold_runs")
@@ -411,10 +406,7 @@ def warm_start_refine(
         elif regression_guard is None:
             seeded = ChannelAllocation.rebase(database, id_lists)
             warm = cds_refine(
-                seeded,
-                max_iterations=max_iterations,
-                backend=backend,
-                scan=scan,
+                seeded, max_iterations=max_iterations, scan=scan
             )
             result = WarmStartResult(
                 allocation=warm.allocation,
@@ -426,12 +418,11 @@ def warm_start_refine(
             _bump("incremental.warm_starts")
             _bump("incremental.warm_moves", warm.iterations)
         else:
-            rough = drp_allocate(database, num_channels, backend=backend)
+            rough = drp_allocate(database, num_channels)
             warm = cds_refine(
                 rough.allocation,
                 initial=id_lists,
                 max_iterations=max_iterations,
-                backend=backend,
                 scan=scan,
             )
             _bump("incremental.warm_starts")
@@ -448,10 +439,7 @@ def warm_start_refine(
                 )
             else:
                 cold = cds_refine(
-                    rough.allocation,
-                    max_iterations=max_iterations,
-                    backend=backend,
-                    scan=scan,
+                    rough.allocation, max_iterations=max_iterations, scan=scan
                 )
                 _bump("incremental.fallbacks")
                 _bump("incremental.cold_runs")
@@ -496,20 +484,14 @@ def database_fingerprint(
     """
     hasher = hashlib.sha256()
     hasher.update(f"K={num_channels};alg={algorithm or ''};".encode())
-    if kernels.HAS_NUMPY:
-        # Array path: same bytes as the per-item loop — ``tolist()``
-        # yields the identical doubles, so ``repr`` renders identically.
-        for item_id, frequency, size in zip(
-            database.item_ids,
-            database.frequencies.tolist(),
-            database.sizes.tolist(),
-        ):
-            hasher.update(f"{item_id}:{frequency!r}:{size!r};".encode())
-    else:  # pragma: no cover - numpy baked in
-        for item in database.items:
-            hasher.update(
-                f"{item.item_id}:{item.frequency!r}:{item.size!r};".encode()
-            )
+    # ``tolist()`` yields plain doubles, so ``repr`` renders each
+    # feature exactly as the item objects would.
+    for item_id, frequency, size in zip(
+        database.item_ids,
+        database.frequencies.tolist(),
+        database.sizes.tolist(),
+    ):
+        hasher.update(f"{item_id}:{frequency!r}:{size!r};".encode())
     return hasher.hexdigest()
 
 
@@ -656,7 +638,6 @@ class IncrementalAllocator:
         *,
         regression_guard: Optional[float] = DEFAULT_REGRESSION_GUARD,
         max_iterations: Optional[int] = None,
-        backend: str = "auto",
         scan: str = "auto",
         cache: Optional[AllocationCache] = None,
     ) -> None:
@@ -667,7 +648,6 @@ class IncrementalAllocator:
         self._num_channels = num_channels
         self._regression_guard = regression_guard
         self._max_iterations = max_iterations
-        self._backend = backend
         self._scan = scan
         self.cache = cache
         self.stats = IncrementalStats()
@@ -724,14 +704,9 @@ class IncrementalAllocator:
         """
         if self._frequency_map is None:
             database = self._database
-            if kernels.HAS_NUMPY:
-                self._frequency_map = dict(
-                    zip(database.item_ids, database.frequencies.tolist())
-                )
-            else:  # pragma: no cover - numpy baked in
-                self._frequency_map = {
-                    item.item_id: item.frequency for item in database.items
-                }
+            self._frequency_map = dict(
+                zip(database.item_ids, database.frequencies.tolist())
+            )
         return self._frequency_map
 
     def _shape_changed(
@@ -802,7 +777,6 @@ class IncrementalAllocator:
                 initial,
                 regression_guard=self._regression_guard,
                 max_iterations=self._max_iterations,
-                backend=self._backend,
                 scan=self._scan,
             )
             if result.mode == "cold":
@@ -873,39 +847,18 @@ class IncrementalAllocator:
             total = sum(self._agg_f)
             scale = 1.0 / total
             self._agg_f = [f * scale for f in self._agg_f]
-            if kernels.HAS_NUMPY:
-                # Array path: patch the changed entries in a copy of the
-                # frequency array, scale elementwise (``x * scale`` is
-                # the per-item multiply, so the floats match the object
-                # path exactly) and clone the database around the new
-                # array — sizes, ids and labels are shared, and no
-                # DataItem is materialised.
-                np = kernels.np
-                current = np.array(self._database.frequencies)
-                for item_id, frequency in changed.items():
-                    current[self._database.index_of(item_id)] = frequency
-                database = self._database.with_frequencies(
-                    current * scale, require_normalized=False
-                )
-                refreshed = self._allocation.with_database(database)
-            else:  # pragma: no cover - numpy baked in
-                updated_items = [
-                    DataItem(
-                        item.item_id,
-                        frequencies[item.item_id] * scale,
-                        item.size,
-                        label=item.label,
-                    )
-                    if item.item_id in changed or scale != 1.0
-                    else item
-                    for item in self._database.items
-                ]
-                database = BroadcastDatabase(
-                    updated_items, require_normalized=False
-                )
-                refreshed = ChannelAllocation.rebase(
-                    database, self._allocation
-                )
+            # Patch the changed entries in a copy of the frequency
+            # array, scale elementwise (``x * scale`` is the per-item
+            # multiply) and clone the database around the new array —
+            # sizes, ids and labels are shared, and no DataItem is
+            # materialised.
+            current = np.array(self._database.frequencies)
+            for item_id, frequency in changed.items():
+                current[self._database.index_of(item_id)] = frequency
+            database = self._database.with_frequencies(
+                current * scale, require_normalized=False
+            )
+            refreshed = self._allocation.with_database(database)
             self._frequency_map = None
             self._database = database
             self._allocation = refreshed

@@ -17,20 +17,20 @@ partitioning problem over the sequence of items sorted by benefit ratio
   of a sequence via dynamic programming.  DRP's recursive bisection
   searches a subset of contiguous partitions; this DP yields the best
   contiguous partition outright and is used as a strong baseline and as
-  an ablation reference.  Three methods are available: the O(K·N²)
-  textbook DP (``method="quadratic"``, kept as the cross-check oracle),
-  an O(K·N log N) divide-and-conquer monotone-optimisation variant
-  (``method="divide-conquer"``) and an O(K·N) SMAWK row-minima variant
-  (``method="smawk"``, the default behind ``"auto"``) — valid because the range
-  cost ``w(j, i) = (F_i − F_j)(Z_i − Z_j)`` is concave-Monge over
-  non-decreasing prefix sums, which makes the optimal predecessor
-  monotone in ``i``.
+  an ablation reference.  It runs SMAWK row minima per DP layer,
+  O(K·N) — valid because the range cost ``w(j, i) = (F_i − F_j)(Z_i −
+  Z_j)`` is concave-Monge over non-decreasing prefix sums, which makes
+  the optimal predecessor monotone in ``i``.  The O(K·N²) textbook DP
+  and the O(K·N log N) monotone-window DP it is checked against live
+  in :mod:`repro.verify.reference`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core import kernels
@@ -43,11 +43,7 @@ __all__ = [
     "best_split_in",
     "split_costs",
     "contiguous_optimal",
-    "DP_METHODS",
 ]
-
-#: Recognised ``contiguous_optimal`` methods (see module docstring).
-DP_METHODS = ("auto", "quadratic", "divide-conquer", "smawk")
 
 
 class PrefixSums:
@@ -80,12 +76,6 @@ class PrefixSums:
         floats (``tolist()``), so nothing downstream (heap priorities,
         JSON reports) ever sees a ``np.float64``.
         """
-        if not kernels.HAS_NUMPY:  # pragma: no cover - numpy baked in
-            raise InfeasibleProblemError(
-                "PrefixSums.from_arrays() requires numpy"
-            )
-        import numpy as np
-
         n = len(frequencies)
         pf = np.empty(n + 1, dtype=np.float64)
         pz = np.empty(n + 1, dtype=np.float64)
@@ -124,12 +114,6 @@ class PrefixSums:
         the scalar arithmetic bit-for-bit.
         """
         if self._arrays is None:
-            if not kernels.HAS_NUMPY:  # pragma: no cover - numpy baked in
-                raise InfeasibleProblemError(
-                    "PrefixSums.arrays() requires numpy"
-                )
-            import numpy as np
-
             self._arrays = (
                 np.asarray(self._freq, dtype=np.float64),
                 np.asarray(self._size, dtype=np.float64),
@@ -141,15 +125,14 @@ def best_split_in(
     sums: PrefixSums,
     start: int,
     stop: int,
-    *,
-    backend: str = "auto",
 ) -> Tuple[int, float]:
     """Best split of the range ``[start, stop)`` of a shared prefix sum.
 
     Range-based core of Procedure ``Partition``: scans every cut point
     of the half-open range using the already-built ``sums``, avoiding
     the O(N) slice-and-rebuild that a per-call :class:`PrefixSums`
-    would cost.
+    would cost.  The scan is one vectorized pass
+    (:func:`~repro.core.kernels.best_split_range_numpy`).
 
     Returns
     -------
@@ -158,7 +141,7 @@ def best_split_in(
         stop - start``: the left part is ``[start, start + offset)``,
         the right part ``[start + offset, stop)``.  ``cost`` is the
         minimised ``cost(left) + cost(right)``.  Among ties the
-        smallest offset wins on both backends.
+        smallest offset wins.
 
     Raises
     ------
@@ -169,24 +152,11 @@ def best_split_in(
         raise InfeasibleProblemError(
             f"cannot split a sequence of {stop - start} item(s)"
         )
-    if kernels.resolve_backend(backend) == "numpy":
-        pf, pz = sums.arrays()
-        return kernels.best_split_range_numpy(pf, pz, start, stop)
-    best_offset = 1
-    best_cost = math.inf
-    for p in range(start + 1, stop):
-        total = sums.cost(start, p) + sums.cost(p, stop)
-        if total < best_cost:
-            best_cost = total
-            best_offset = p - start
-    return best_offset, best_cost
+    pf, pz = sums.arrays()
+    return kernels.best_split_range_numpy(pf, pz, start, stop)
 
 
-def best_split(
-    items: Sequence[DataItem],
-    *,
-    backend: str = "auto",
-) -> Tuple[int, float]:
+def best_split(items: Sequence[DataItem]) -> Tuple[int, float]:
     """Find the split minimising ``cost(left) + cost(right)``.
 
     This is Procedure ``Partition(D_x)`` of the paper.  The input should
@@ -210,7 +180,7 @@ def best_split(
         raise InfeasibleProblemError(
             f"cannot split a sequence of {len(items)} item(s)"
         )
-    return best_split_in(PrefixSums(items), 0, len(items), backend=backend)
+    return best_split_in(PrefixSums(items), 0, len(items))
 
 
 def split_costs(items: Sequence[DataItem]) -> List[float]:
@@ -232,7 +202,6 @@ def contiguous_optimal(
     items: Optional[Sequence[DataItem]],
     num_groups: int,
     *,
-    method: str = "auto",
     sums: Optional[PrefixSums] = None,
 ) -> Tuple[List[Tuple[int, int]], float]:
     """Optimal K-way contiguous partition by dynamic programming.
@@ -246,16 +215,6 @@ def contiguous_optimal(
         The ordered item sequence.
     num_groups:
         The group count ``K``; must satisfy ``1 <= K <= len(items)``.
-    method:
-        ``"quadratic"`` — the O(K·N²) textbook DP, kept as the
-        cross-check oracle; ``"divide-conquer"`` — the O(K·N log N)
-        monotone-optimisation variant; ``"smawk"`` — the O(K·N) SMAWK
-        row-minima variant; ``"auto"`` (default) — SMAWK.  All return
-        identical costs (the range cost is concave-Monge, so the
-        per-layer candidate matrix is totally monotone and every
-        restricted search always contains the optimum — the minima are
-        the same floats because all methods evaluate the identical
-        candidate expression).
     sums:
         Optional pre-built :class:`PrefixSums` over the ordered
         sequence.  When given, ``items`` may be ``None`` — the
@@ -273,57 +232,38 @@ def contiguous_optimal(
     Raises
     ------
     InfeasibleProblemError
-        If ``num_groups`` is not in ``[1, len(items)]`` or ``method``
-        is unknown.
+        If ``num_groups`` is not in ``[1, len(items)]``.
 
     Notes
     -----
     DRP explores only the partitions reachable by recursive bisection,
     so ``contiguous_optimal cost <= DRP cost`` always holds for the
-    same item order — a property the test suite asserts.
+    same item order — a property the test suite asserts.  The costs
+    are bitwise those of the quadratic and monotone-window DPs in
+    :mod:`repro.verify.reference` (the ``oracle.dp-methods`` check):
+    every method evaluates the identical candidate expression, and the
+    totally monotone candidate matrix keeps the optimum inside every
+    restricted search.
     """
     n = len(sums) if sums is not None else len(items)
     if not 1 <= num_groups <= n:
         raise InfeasibleProblemError(
             f"cannot split {n} item(s) into {num_groups} non-empty groups"
         )
-    if method not in DP_METHODS:
-        raise InfeasibleProblemError(
-            f"unknown method {method!r}; choose from {DP_METHODS}"
-        )
-    resolved = "smawk" if method == "auto" else method
     with obs.span(
-        "partition.contiguous_optimal",
-        items=n,
-        groups=num_groups,
-        method=resolved,
+        "partition.contiguous_optimal", items=n, groups=num_groups
     ) as span:
         if sums is None:
             sums = PrefixSums(items)
         hb = obs.heartbeat("dp", rates=("rows_solved",))
-        if resolved == "quadratic":
-            choice, total, cells, evaluations = _dp_quadratic(
-                sums, n, num_groups, heartbeat=hb
-            )
-        elif resolved == "divide-conquer":
-            choice, total, cells, evaluations = _dp_divide_conquer(
-                sums, n, num_groups, heartbeat=hb
-            )
-        else:
-            choice, total, cells, evaluations = _dp_smawk(
-                sums, n, num_groups, heartbeat=hb
-            )
+        choice, total, cells, evaluations = _dp_smawk(
+            sums, n, num_groups, heartbeat=hb
+        )
         if hb is not None:
             hb.flush(
                 layers=num_groups, rows_solved=cells, evaluations=evaluations
             )
-        boundaries: List[Tuple[int, int]] = []
-        stop = n
-        for g in range(num_groups, 0, -1):
-            start = choice[g][stop]
-            boundaries.append((start, stop))
-            stop = start
-        boundaries.reverse()
+        boundaries = _backtrack(choice, n, num_groups)
         span.update(cost=total, dp_cells=cells, dp_evaluations=evaluations)
         registry = obs.get_metrics()
         if registry.enabled:
@@ -333,111 +273,18 @@ def contiguous_optimal(
     return boundaries, total
 
 
-def _dp_quadratic(
-    sums: PrefixSums, n: int, num_groups: int, *, heartbeat=None
-) -> Tuple[List[List[int]], float, int, int]:
-    """The O(K·N²) reference DP (the oracle the fast variant is checked
-    against).  ``dp[g][i]`` is the minimal cost of splitting ``items[:i]``
-    into ``g`` groups.  Returns ``(choice, cost, cells, evaluations)``
-    where ``cells`` counts DP states filled and ``evaluations`` counts
-    candidate predecessors scanned (both tallied per state, adding no
-    inner-loop work)."""
-    infinity = math.inf
-    dp = [[infinity] * (n + 1) for _ in range(num_groups + 1)]
-    choice = [[0] * (n + 1) for _ in range(num_groups + 1)]
-    dp[0][0] = 0.0
-    cells = 0
-    evaluations = 0
-    for g in range(1, num_groups + 1):
-        # items[:i] needs at least g items and must leave enough for
-        # the remaining groups.
-        for i in range(g, n - (num_groups - g) + 1):
-            best_value = infinity
-            best_j = g - 1
-            for j in range(g - 1, i):
-                if dp[g - 1][j] == infinity:
-                    continue
-                value = dp[g - 1][j] + sums.cost(j, i)
-                if value < best_value:
-                    best_value = value
-                    best_j = j
-            dp[g][i] = best_value
-            choice[g][i] = best_j
-            cells += 1
-            evaluations += i - (g - 1)
-        if heartbeat is not None:
-            heartbeat.beat(layers=g, rows_solved=cells, evaluations=evaluations)
-    return choice, dp[num_groups][n], cells, evaluations
-
-
-def _dp_divide_conquer(
-    sums: PrefixSums, n: int, num_groups: int, *, heartbeat=None
-) -> Tuple[List[List[int]], float, int, int]:
-    """O(K·N log N) DP via divide-and-conquer optimisation.
-
-    The layer recurrence ``dp_g(i) = min_j dp_{g-1}(j) + w(j, i)`` with
-    ``w(j, i) = (F_i − F_j)(Z_i − Z_j)`` has monotone optimal ``j``
-    because ``w`` is concave-Monge when the prefix sums are
-    non-decreasing (positive frequencies and sizes guarantee that).
-    Each layer is solved by recursing on the midpoint and narrowing the
-    candidate window to ``[opt(lo), opt(hi)]``; the window scan itself
-    is vectorized when numpy is available and falls back to the scalar
-    loop otherwise — both produce the oracle's exact floats.
-    """
-    use_numpy = kernels.HAS_NUMPY
-    infinity = math.inf
-    if use_numpy:
-        import numpy as np
-
-        pf, pz = sums.arrays()
-        dp_prev = np.full(n + 1, infinity)
-        dp_prev[0] = 0.0
-    else:  # pragma: no cover - numpy baked into the image
-        dp_prev = [infinity] * (n + 1)
-        dp_prev[0] = 0.0
-    choice = [[0] * (n + 1) for _ in range(num_groups + 1)]
-    cells = 0
-    evaluations = 0
-    for g in range(1, num_groups + 1):
-        if use_numpy:
-            dp_cur = np.full(n + 1, infinity)
-        else:  # pragma: no cover
-            dp_cur = [infinity] * (n + 1)
-        i_lo, i_hi = g, n - (num_groups - g)
-        # Explicit stack instead of recursion: depth is log N but large
-        # catalogues should not depend on the interpreter's limit.
-        stack = [(i_lo, i_hi, g - 1, i_hi - 1)]
-        while stack:
-            lo, hi, j_lo, j_hi = stack.pop()
-            if lo > hi:
-                continue
-            mid = (lo + hi) // 2
-            w_lo = max(j_lo, g - 1)
-            w_hi = min(j_hi, mid - 1)
-            cells += 1
-            evaluations += max(0, w_hi + 1 - w_lo)
-            if use_numpy:
-                best_j, best_value = kernels.dp_window_argmin_numpy(
-                    dp_prev, pf, pz, mid, w_lo, w_hi + 1
-                )
-            else:  # pragma: no cover
-                best_value = infinity
-                best_j = w_lo
-                for j in range(w_lo, w_hi + 1):
-                    if dp_prev[j] == infinity:
-                        continue
-                    value = dp_prev[j] + sums.cost(j, mid)
-                    if value < best_value:
-                        best_value = value
-                        best_j = j
-            dp_cur[mid] = best_value
-            choice[g][mid] = best_j
-            stack.append((lo, mid - 1, j_lo, best_j))
-            stack.append((mid + 1, hi, best_j, j_hi))
-        dp_prev = dp_cur
-        if heartbeat is not None:
-            heartbeat.beat(layers=g, rows_solved=cells, evaluations=evaluations)
-    return choice, float(dp_prev[n]), cells, evaluations
+def _backtrack(
+    choice: List[List[int]], n: int, num_groups: int
+) -> List[Tuple[int, int]]:
+    """Backtrack a DP's predecessor table into ``(start, stop)`` runs."""
+    boundaries: List[Tuple[int, int]] = []
+    stop = n
+    for g in range(num_groups, 0, -1):
+        start = choice[g][stop]
+        boundaries.append((start, stop))
+        stop = start
+    boundaries.reverse()
+    return boundaries
 
 
 def _dp_smawk(
@@ -455,9 +302,9 @@ def _dp_smawk(
 
     Exactness of the *values*: SMAWK only ever compares true matrix
     entries — every ``dp_g(i)`` it reports is the minimum of the same
-    candidate floats the quadratic oracle scans, computed by the
+    candidate floats the quadratic reference scans, computed by the
     identical expression, so the costs agree bit-for-bit.  Among equal
-    minima the *choice* of predecessor may differ from the oracle's
+    minima the *choice* of predecessor may differ from the reference's
     leftmost-``j`` rule; boundaries are therefore validated by the cost
     they realise, not by position.
 
@@ -478,7 +325,7 @@ def _dp_smawk(
         i_lo, i_hi = g, n - (num_groups - g)
         if g == 1:
             # Only j = 0 is reachable: dp_1(i) = 0.0 + w(0, i), written
-            # with the exact expression the oracle evaluates.
+            # with the exact expression the reference evaluates.
             base = dp_prev[0]
             f0 = pf[0]
             z0 = pz[0]
@@ -495,8 +342,7 @@ def _dp_smawk(
             cols = list(range(g - 1, i_hi))
             argmin = [0] * (n + 1)
             scratch = [0] * (n + 1)
-            if kernels.HAS_NUMPY and len(rows) >= _SMAWK_VECTOR_ROWS:
-                np = kernels.np
+            if len(rows) >= _SMAWK_VECTOR_ROWS:
                 if feature_arrays is None:
                     feature_arrays = (
                         np.asarray(pf, dtype=np.float64),
@@ -654,7 +500,6 @@ def _interpolate_vectorized(
     segment minimum.  An all-``+inf`` window degenerates to its first
     position in both implementations.
     """
-    np = kernels.np
     pf_a, pz_a, prev_a = arrays
     num_rows = len(rows)
     cols_a = np.asarray(cols, dtype=np.intp)

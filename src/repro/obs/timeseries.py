@@ -295,7 +295,9 @@ class Heartbeat:
         self._rates = tuple(rates)
         self._ewma = {key: EwmaRate(halflife=halflife) for key in self._rates}
         self._last_value: Dict[str, float] = {}
-        self._last_emit = 0.0
+        # ``None`` until the first emit, so the first beat always clears
+        # the throttle whatever the clock's origin.
+        self._last_emit: Optional[float] = None
         self._beats = 0
         # Injectable monotonic time source (a zero-arg callable) so the
         # serve loop's fake clock drives throttling deterministically.
@@ -304,7 +306,7 @@ class Heartbeat:
     def beat(self, **values: float) -> bool:
         """Record one loop iteration; emits only when the throttle opens."""
         now = self._now()
-        if now - self._last_emit < self.interval:
+        if self._last_emit is not None and now - self._last_emit < self.interval:
             return False
         self._emit(now, values)
         return True

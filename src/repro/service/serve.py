@@ -47,7 +47,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.allocation import ChannelAllocation
-from repro.core.cost import DEFAULT_BANDWIDTH
+from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
 from repro.core.database import BroadcastDatabase
 from repro.core.incremental import (
     DEFAULT_REGRESSION_GUARD,
@@ -532,7 +532,7 @@ class BroadcastService:
             believed_profile = {
                 item.item_id: item.frequency for item in self._believed.items
             }
-            cost = _cost_under_profile(
+            cost = cost_under_profile(
                 self.live.allocation, believed_profile
             )
             report = ServeEpochReport(
@@ -611,18 +611,6 @@ class BroadcastService:
             self._pending_switch = self.live.stage(
                 result.allocation, requested_at=end
             )
-
-
-def _cost_under_profile(
-    allocation: ChannelAllocation, profile: Dict[str, float]
-) -> float:
-    """Eq.-(3) cost of an allocation under a substituted frequency map."""
-    total = 0.0
-    for group in allocation.channels:
-        freq = sum(profile[item.item_id] for item in group)
-        size = sum(item.size for item in group)
-        total += freq * size
-    return total
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The public surface re-exports the three checker families plus the fuzz
 driver; ``repro verify`` (see :mod:`repro.cli`) and the pytest suite are
-thin consumers of exactly these names.  See ``docs/verification.md``
-for the checker catalogue and tolerance policy.
+thin consumers of exactly these names.  :mod:`repro.verify.reference`
+holds the scalar loops the production kernels are diffed against.  See
+``docs/verification.md`` for the checker catalogue and tolerance policy.
 """
 
 from repro.verify.fuzz import (

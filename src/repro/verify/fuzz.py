@@ -3,10 +3,9 @@
 ``run_fuzz`` drives every checker of :mod:`repro.verify.invariants`,
 :mod:`repro.verify.metamorphic` and :mod:`repro.verify.oracles` against
 seeded synthetic workloads spanning four size regimes — small (most
-cases, where every checker is cheap), medium, the N < 512 / N ≥ 512
-band straddling :data:`repro.core.drp.AUTO_BACKEND_CROSSOVER` so the
-auto-backend resolution rule is exercised on both sides of the switch,
-and an occasional large-N smoke band (low thousands of items) where
+cases, where every checker is cheap), medium, a band around N = 512
+where only the checkers without a size cap run, and an occasional
+large-N smoke band (low thousands of items) where
 only the uncapped checkers run — enough to catch scaling regressions
 in the array-resident pipeline without leaving seconds-scale budgets.
 
@@ -38,7 +37,7 @@ from repro import obs
 from repro.core.cds import CDSResult, cds_refine
 from repro.core.cost import move_delta
 from repro.core.database import BroadcastDatabase
-from repro.core.drp import AUTO_BACKEND_CROSSOVER, DRPResult, drp_allocate
+from repro.core.drp import DRPResult, drp_allocate
 from repro.core.item import DataItem
 from repro.exceptions import ReproError, VerificationError
 from repro.verify.invariants import (
@@ -164,7 +163,7 @@ class CheckSpec:
 
     ``max_items`` bounds the database size the checker is willing to
     process per case (``None`` = no bound — these are the checkers that
-    also run in the backend-crossover regime).  ``once`` marks
+    also run in the N ≈ 512 and large-N bands).  ``once`` marks
     session-level checkers (currently the process-pool oracle) that run
     a single time per fuzz run.
     """
@@ -327,9 +326,7 @@ def _generate_case(rng: np.random.Generator, index: int) -> FuzzCase:
     elif regime < 0.90:
         num_items = int(rng.integers(30, 161))
     elif regime < 0.96:
-        low = AUTO_BACKEND_CROSSOVER - 6
-        high = AUTO_BACKEND_CROSSOVER + 7
-        num_items = int(rng.integers(low, high))
+        num_items = int(rng.integers(506, 519))
     else:
         # Large-N smoke: only the uncapped checkers run here, keeping
         # the band seconds-scale while still exercising the SoA paths

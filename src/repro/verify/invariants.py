@@ -458,8 +458,6 @@ def _bounded_above(lower: float, upper: float) -> bool:
 def check_lower_bounds(
     database: BroadcastDatabase,
     num_channels: int,
-    *,
-    backend: str = "auto",
 ) -> List[Violation]:
     """The provable ordering between the algorithms must hold.
 
@@ -483,13 +481,11 @@ def check_lower_bounds(
     flat_size = database.total_size
     flat_cost = flat_frequency * flat_size
 
-    drp = drp_allocate(database, num_channels, backend=backend)
+    drp = drp_allocate(database, num_channels)
     ordered = database.sorted_by_benefit_ratio()
     _, dp_cost = contiguous_optimal(ordered, num_channels)
-    cds = cds_refine(drp.allocation, backend=backend)
-    warm = warm_start_refine(
-        database, num_channels, drp.allocation, backend=backend
-    )
+    cds = cds_refine(drp.allocation)
+    warm = warm_start_refine(database, num_channels, drp.allocation)
 
     if not _bounded_above(dp_cost, drp.cost):
         violations.append(

@@ -44,6 +44,7 @@ from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
 from repro.core.item import DataItem
 from repro.core.partition import best_split, contiguous_optimal, split_costs
+from repro.verify import reference
 from repro.verify.invariants import REL_TOL, Violation, close
 
 __all__ = [
@@ -141,7 +142,6 @@ def relation_size_scaling(
     num_channels: int,
     *,
     factor: float = 2.0,
-    backend: str = "auto",
 ) -> List[Violation]:
     """Doubling all sizes doubles all costs and preserves the grouping.
 
@@ -158,8 +158,8 @@ def relation_size_scaling(
         return violations
 
     scaled_db = _scaled_database(database, size_factor=factor)
-    base = drp_allocate(database, num_channels, backend=backend)
-    scaled = drp_allocate(scaled_db, num_channels, backend=backend)
+    base = drp_allocate(database, num_channels)
+    scaled = drp_allocate(scaled_db, num_channels)
 
     if scaled.allocation.as_id_lists() != base.allocation.as_id_lists():
         violations.append(
@@ -208,7 +208,6 @@ def relation_frequency_renormalization(
     num_channels: int,
     *,
     factor: float = 2.0,
-    backend: str = "auto",
 ) -> List[Violation]:
     """The grouping depends only on the relative frequency profile.
 
@@ -227,8 +226,8 @@ def relation_frequency_renormalization(
         return violations
 
     scaled_db = _scaled_database(database, frequency_factor=factor)
-    base = drp_allocate(database, num_channels, backend=backend)
-    scaled = drp_allocate(scaled_db, num_channels, backend=backend)
+    base = drp_allocate(database, num_channels)
+    scaled = drp_allocate(scaled_db, num_channels)
 
     if scaled.allocation.as_id_lists() != base.allocation.as_id_lists():
         violations.append(
@@ -280,7 +279,6 @@ def relation_monotone_channels(
     database: BroadcastDatabase,
     *,
     max_channels: Optional[int] = None,
-    method: str = "auto",
 ) -> List[Violation]:
     """Optimal contiguous cost never increases when K grows."""
     name = "metamorphic.monotone-channels"
@@ -289,7 +287,7 @@ def relation_monotone_channels(
     limit = min(len(ordered), max_channels or 8)
     previous = None
     for k in range(1, limit + 1):
-        _, cost = contiguous_optimal(ordered, k, method=method)
+        _, cost = contiguous_optimal(ordered, k)
         if previous is not None and cost > previous + REL_TOL * max(
             1.0, abs(previous)
         ):
@@ -320,7 +318,7 @@ def relation_merge_split(
     ``cost(p ∪ q) − cost(p) − cost(q) == F_p Z_q + F_q Z_p``.
     (b) For each multi-item channel: the enumerated two-way split costs
     (:func:`split_costs`) reach their minimum exactly at
-    :func:`best_split`, on both kernel backends.
+    :func:`best_split`, which agrees with the scalar reference scan.
     """
     name = "metamorphic.merge-split"
     violations: List[Violation] = []
@@ -371,8 +369,8 @@ def relation_merge_split(
             continue
         items: Sequence[DataItem] = list(channel)
         enumerated = split_costs(items)
-        python_split, python_cost = best_split(items, backend="python")
-        numpy_split, numpy_cost = best_split(items, backend="numpy")
+        python_split, python_cost = reference.best_split(items)
+        numpy_split, numpy_cost = best_split(items)
         if min(enumerated) != python_cost:
             violations.append(
                 _violation(
@@ -386,9 +384,9 @@ def relation_merge_split(
             violations.append(
                 _violation(
                     name,
-                    f"channel {index}: best_split backends disagree — "
-                    f"python ({python_split}, {python_cost}) vs numpy "
-                    f"({numpy_split}, {numpy_cost})",
+                    f"channel {index}: best_split disagrees with the "
+                    f"reference — reference ({python_split}, {python_cost}) "
+                    f"vs production ({numpy_split}, {numpy_cost})",
                     channel=index,
                 )
             )

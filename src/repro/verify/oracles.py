@@ -1,8 +1,9 @@
 """Differential oracles: run implementation pairs, diff the answers.
 
 The repo deliberately keeps redundant implementations of each layer —
-scalar vs numpy kernels, serial vs process-pool sweeps, event-driven vs
-batched simulation, cold vs warm-started refinement.  Each pair is
+the numpy kernels vs the scalar loops of :mod:`repro.verify.reference`,
+serial vs process-pool sweeps, event-driven vs batched simulation, cold
+vs warm-started refinement.  Each pair is
 documented as producing identical results (bitwise, except where a
 tolerance is declared below), which turns every pair into a free test
 oracle: run both halves on the same seeded input and diff.
@@ -14,12 +15,15 @@ pytest suite consume all checkers uniformly.
 The four oracle pairs (named ``oracle.<slug>``):
 
 ``drp-backends`` / ``cds-backends`` / ``dp-methods``
-    python vs numpy kernels, and the O(K·N²) quadratic DP vs the
-    divide-and-conquer DP — all bitwise.
+    Production DRP and CDS vs their scalar references, and the SMAWK
+    DP vs the O(K·N²) quadratic and divide-and-conquer reference DPs —
+    all bitwise.  (The check names predate the single production path:
+    they once compared a python and a numpy backend.)
 ``cds-scan-modes``
-    Triple parity of the CDS Δc scans: scalar full scan vs vectorized
-    full scan vs the dirty-pair incremental index — identical move
-    sequences (every float), costs and groupings, cold and seeded.
+    Triple parity of the CDS Δc scans: the scalar reference scan vs
+    the vectorized full scan vs the dirty-pair incremental index —
+    identical move sequences (every float), costs and groupings, cold
+    and seeded.
 ``simulators``
     Event-driven engine vs the batched fast path — measured statistics
     bitwise identical (``events_processed`` is exempt: the batched path
@@ -53,6 +57,7 @@ from repro.core.partition import PrefixSums, contiguous_optimal
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.simulation.simulator import run_broadcast_simulation
+from repro.verify import reference
 from repro.verify.invariants import REL_TOL, Violation, close
 
 __all__ = [
@@ -73,7 +78,7 @@ def _violation(check: str, message: str, **context: object) -> Violation:
 
 
 # ---------------------------------------------------------------------------
-# Kernel backends
+# Production kernels vs the scalar references
 # ---------------------------------------------------------------------------
 
 def oracle_drp_backends(
@@ -82,22 +87,20 @@ def oracle_drp_backends(
     *,
     split_policy: str = "max-cost",
 ) -> List[Violation]:
-    """DRP must be bitwise identical on the python and numpy backends."""
+    """DRP must be bitwise identical to its scalar-split reference."""
     name = "oracle.drp-backends"
     violations: List[Violation] = []
     if num_channels > len(database.items):
         return violations
-    python = drp_allocate(
-        database, num_channels, split_policy=split_policy, backend="python"
+    python = reference.drp_allocate(
+        database, num_channels, split_policy=split_policy
     )
-    vectorized = drp_allocate(
-        database, num_channels, split_policy=split_policy, backend="numpy"
-    )
+    vectorized = drp_allocate(database, num_channels, split_policy=split_policy)
     if python.allocation.as_id_lists() != vectorized.allocation.as_id_lists():
         violations.append(
             _violation(
                 name,
-                f"DRP groupings diverge between backends "
+                f"DRP groupings diverge from the reference "
                 f"(policy={split_policy!r})",
                 policy=split_policy,
             )
@@ -106,7 +109,7 @@ def oracle_drp_backends(
         violations.append(
             _violation(
                 name,
-                f"DRP cost python {python.cost!r} != numpy "
+                f"DRP cost reference {python.cost!r} != production "
                 f"{vectorized.cost!r}",
                 python=python.cost,
                 numpy=vectorized.cost,
@@ -116,7 +119,7 @@ def oracle_drp_backends(
         violations.append(
             _violation(
                 name,
-                f"DRP iterations python {python.iterations} != numpy "
+                f"DRP iterations reference {python.iterations} != production "
                 f"{vectorized.iterations}",
             )
         )
@@ -126,14 +129,14 @@ def oracle_drp_backends(
 def oracle_cds_backends(
     database: BroadcastDatabase, num_channels: int
 ) -> List[Violation]:
-    """CDS must take the identical move sequence on both backends."""
+    """CDS must take its scalar reference's exact move sequence."""
     name = "oracle.cds-backends"
     violations: List[Violation] = []
     if num_channels > len(database.items):
         return violations
-    seed = drp_allocate(database, num_channels, backend="python").allocation
-    python = cds_refine(seed, backend="python")
-    vectorized = cds_refine(seed, backend="numpy")
+    seed = drp_allocate(database, num_channels).allocation
+    python = reference.cds_refine(seed)
+    vectorized = cds_refine(seed)
     python_moves = [
         (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
         for m in python.moves
@@ -146,8 +149,9 @@ def oracle_cds_backends(
         violations.append(
             _violation(
                 name,
-                f"CDS move sequences diverge: python made "
-                f"{len(python_moves)} move(s), numpy {len(numpy_moves)}",
+                f"CDS move sequences diverge: reference made "
+                f"{len(python_moves)} move(s), production "
+                f"{len(numpy_moves)}",
                 python_moves=len(python_moves),
                 numpy_moves=len(numpy_moves),
             )
@@ -156,7 +160,7 @@ def oracle_cds_backends(
         violations.append(
             _violation(
                 name,
-                f"CDS cost python {python.cost!r} != numpy "
+                f"CDS cost reference {python.cost!r} != production "
                 f"{vectorized.cost!r}",
                 python=python.cost,
                 numpy=vectorized.cost,
@@ -167,7 +171,7 @@ def oracle_cds_backends(
         != vectorized.allocation.as_id_lists()
     ):
         violations.append(
-            _violation(name, "CDS final groupings diverge between backends")
+            _violation(name, "CDS final groupings diverge from the reference")
         )
     return violations
 
@@ -177,7 +181,7 @@ def oracle_cds_scan_modes(
 ) -> List[Violation]:
     """Triple parity across CDS scan implementations — all bitwise.
 
-    The scalar full scan, the vectorized full scan and the dirty-pair
+    The scalar reference scan, the vectorized full scan and the dirty-pair
     incremental scan must execute the identical move sequence (item,
     origin, destination, delta, cost after — every float), land on the
     identical cost and grouping, and the incremental scan must never
@@ -189,13 +193,11 @@ def oracle_cds_scan_modes(
     violations: List[Violation] = []
     if num_channels > len(database.items):
         return violations
-    seed = drp_allocate(database, num_channels, backend="python").allocation
+    seed = drp_allocate(database, num_channels).allocation
     runs = {
-        "python-full": cds_refine(seed, backend="python", scan="full"),
-        "numpy-full": cds_refine(seed, backend="numpy", scan="full"),
-        "numpy-incremental": cds_refine(
-            seed, backend="numpy", scan="incremental"
-        ),
+        "reference": reference.cds_refine(seed),
+        "full": cds_refine(seed, scan="full"),
+        "incremental": cds_refine(seed, scan="incremental"),
     }
 
     def move_key(result):
@@ -204,35 +206,35 @@ def oracle_cds_scan_modes(
             for m in result.moves
         ]
 
-    reference_label = "python-full"
-    reference = runs[reference_label]
+    reference_label = "reference"
+    expected = runs[reference_label]
     for label, result in runs.items():
         if label == reference_label:
             continue
-        if move_key(result) != move_key(reference):
+        if move_key(result) != move_key(expected):
             violations.append(
                 _violation(
                     name,
                     f"CDS move sequences diverge: {reference_label} made "
-                    f"{len(reference.moves)} move(s), {label} "
+                    f"{len(expected.moves)} move(s), {label} "
                     f"{len(result.moves)}",
-                    reference=len(reference.moves),
+                    reference=len(expected.moves),
                     candidate=len(result.moves),
                     mode=label,
                 )
             )
-        if result.cost != reference.cost:
+        if result.cost != expected.cost:
             violations.append(
                 _violation(
                     name,
                     f"CDS cost diverges: {reference_label} "
-                    f"{reference.cost!r} vs {label} {result.cost!r}",
+                    f"{expected.cost!r} vs {label} {result.cost!r}",
                     mode=label,
                 )
             )
         if (
             result.allocation.as_id_lists()
-            != reference.allocation.as_id_lists()
+            != expected.allocation.as_id_lists()
         ):
             violations.append(
                 _violation(
@@ -242,8 +244,8 @@ def oracle_cds_scan_modes(
                     mode=label,
                 )
             )
-    full = runs["numpy-full"]
-    incremental = runs["numpy-incremental"]
+    full = runs["full"]
+    incremental = runs["incremental"]
     if incremental.delta_evaluations > full.delta_evaluations:
         violations.append(
             _violation(
@@ -253,11 +255,9 @@ def oracle_cds_scan_modes(
                 f"({full.delta_evaluations})",
             )
         )
-    warm_full = cds_refine(
-        seed, initial=full.allocation, backend="numpy", scan="full"
-    )
+    warm_full = cds_refine(seed, initial=full.allocation, scan="full")
     warm_incremental = cds_refine(
-        seed, initial=full.allocation, backend="numpy", scan="incremental"
+        seed, initial=full.allocation, scan="incremental"
     )
     if move_key(warm_full) != move_key(warm_incremental) or (
         warm_full.cost != warm_incremental.cost
@@ -275,7 +275,7 @@ def oracle_cds_scan_modes(
 def oracle_dp_methods(
     database: BroadcastDatabase, num_channels: int
 ) -> List[Violation]:
-    """Quadratic, divide-and-conquer and SMAWK DPs agree exactly.
+    """SMAWK matches the quadratic and divide-and-conquer references.
 
     The ``smawk-vs-dnc-vs-quadratic`` triple parity: all three must
     return the same optimal cost (bitwise — the recurrences evaluate
@@ -291,14 +291,15 @@ def oracle_dp_methods(
     items = database.sorted_by_benefit_ratio()
     if num_channels > len(items):
         return violations
-    quad_bounds, quad_cost = contiguous_optimal(
-        items, num_channels, method="quadratic"
+    sums = PrefixSums(items)
+    quad_bounds, quad_cost = reference.contiguous_quadratic(
+        None, num_channels, sums=sums
     )
-    dnc_bounds, dnc_cost = contiguous_optimal(
-        items, num_channels, method="divide-conquer"
+    dnc_bounds, dnc_cost = reference.contiguous_divide_conquer(
+        None, num_channels, sums=sums
     )
     smawk_bounds, smawk_cost = contiguous_optimal(
-        items, num_channels, method="smawk"
+        None, num_channels, sums=sums
     )
     if not quad_cost == dnc_cost == smawk_cost:
         violations.append(
@@ -311,7 +312,6 @@ def oracle_dp_methods(
                 smawk=smawk_cost,
             )
         )
-    sums = PrefixSums(items)
     for method, bounds, cost in (
         ("quadratic", quad_bounds, quad_cost),
         ("divide-conquer", dnc_bounds, dnc_cost),
@@ -699,7 +699,6 @@ def oracle_warm_cold(
     *,
     rng=None,
     drift: float = 0.15,
-    backend: str = "auto",
 ) -> List[Violation]:
     """Warm starts respect the cold-start regression guard.
 
@@ -714,13 +713,8 @@ def oracle_warm_cold(
     if num_channels > len(database.items):
         return violations
 
-    cold = cds_refine(
-        drp_allocate(database, num_channels, backend=backend).allocation,
-        backend=backend,
-    )
-    unchanged = warm_start_refine(
-        database, num_channels, cold.allocation, backend=backend
-    )
+    cold = cds_refine(drp_allocate(database, num_channels).allocation)
+    unchanged = warm_start_refine(database, num_channels, cold.allocation)
     if not close(unchanged.cost, cold.cost):
         violations.append(
             _violation(
@@ -753,10 +747,8 @@ def oracle_warm_cold(
         drifted_items, require_normalized=False
     ).normalized()
 
-    warm = warm_start_refine(
-        drifted, num_channels, cold.allocation, backend=backend
-    )
-    rough = drp_allocate(drifted, num_channels, backend=backend)
+    warm = warm_start_refine(drifted, num_channels, cold.allocation)
+    rough = drp_allocate(drifted, num_channels)
     bound = DEFAULT_REGRESSION_GUARD * rough.cost
     if warm.cost > bound + REL_TOL * max(1.0, bound):
         violations.append(

@@ -3,7 +3,8 @@
 The incremental scan maintains a K×K best-move candidate matrix and,
 after each executed move, recomputes only the cells whose origin or
 destination aggregates changed.  Its contract is *bitwise* equality
-with the full-scan backends: the same move sequence, the same deltas,
+with the full scan and the scalar reference loop of
+:mod:`repro.verify.reference`: the same move sequence, the same deltas,
 the same final allocation — only the number of Δc evaluations differs.
 Every test here is a facet of that contract.
 """
@@ -26,6 +27,7 @@ from repro.core.kernels import (
     CDSPairIndex,
     resolve_scan,
 )
+from repro.verify import reference
 from repro.workloads.generator import WorkloadSpec, generate_database
 
 from .test_cds import worst_case_seed
@@ -50,14 +52,14 @@ def assert_identical_runs(full, incremental):
 
 
 # ----------------------------------------------------------------------
-# Move-sequence parity vs both existing backends
+# Move-sequence parity vs the full scan and the scalar reference
 # ----------------------------------------------------------------------
 
 
 class TestMoveSequenceParity:
     @pytest.mark.parametrize("seed", range(8))
     def test_eight_seed_parity_vs_both_backends(self, seed):
-        """The issue's 8-seed sweep: python == numpy-full == incremental."""
+        """8-seed sweep: scalar reference == full scan == incremental."""
         db = generate_database(
             WorkloadSpec(
                 num_items=48,
@@ -68,24 +70,24 @@ class TestMoveSequenceParity:
         )
         k = 3 + seed % 5
         alloc = worst_case_seed(db, k)
-        python = cds_refine(alloc, backend="python", scan="full")
-        vector = cds_refine(alloc, backend="numpy", scan="full")
-        incr = cds_refine(alloc, backend="numpy", scan="incremental")
+        python = reference.cds_refine(alloc)
+        vector = cds_refine(alloc, scan="full")
+        incr = cds_refine(alloc, scan="incremental")
         assert_identical_runs(python, vector)
         assert_identical_runs(python, incr)
 
     def test_tie_heavy_uniform_database(self):
         """Equal f·z everywhere makes every candidate tie; the index
         must still pick the same (origin, position, destination) as the
-        scan-order backends."""
+        scan-order full scan."""
         n = 24
         db = BroadcastDatabase(
             [DataItem(f"u{i}", 1.0 / n, 3.0) for i in range(n)]
         )
         for k in (3, 4, 6):
             alloc = worst_case_seed(db, k)
-            full = cds_refine(alloc, backend="numpy", scan="full")
-            incr = cds_refine(alloc, backend="numpy", scan="incremental")
+            full = cds_refine(alloc, scan="full")
+            incr = cds_refine(alloc, scan="incremental")
             assert_identical_runs(full, incr)
 
     def test_paper_golden_trajectory(self, paper_db, paper_goldens):
@@ -95,9 +97,9 @@ class TestMoveSequenceParity:
             paper_goldens["num_channels"],
             split_policy="max-reduction",
         )
-        full = cds_refine(rough.allocation, backend="numpy", scan="full")
+        full = cds_refine(rough.allocation, scan="full")
         incr = cds_refine(
-            rough.allocation, backend="numpy", scan="incremental"
+            rough.allocation, scan="incremental"
         )
         assert_identical_runs(full, incr)
         assert incr.cost == pytest.approx(paper_goldens["cds_cost"], abs=0.01)
@@ -122,8 +124,8 @@ class TestMoveSequenceParity:
             )
         )
         alloc = worst_case_seed(db, 12)
-        full = cds_refine(alloc, backend="numpy", scan="full")
-        incr = cds_refine(alloc, backend="numpy", scan="incremental")
+        full = cds_refine(alloc, scan="full")
+        incr = cds_refine(alloc, scan="incremental")
         assert len(full.moves) > 100  # genuinely long chain
         assert_identical_runs(full, incr)
 
@@ -131,11 +133,10 @@ class TestMoveSequenceParity:
         seed = worst_case_seed(medium_db, 5)
         for budget in (1, 2, 3):
             full = cds_refine(
-                seed, backend="numpy", scan="full", max_iterations=budget
+                seed, scan="full", max_iterations=budget
             )
             incr = cds_refine(
                 seed,
-                backend="numpy",
                 scan="incremental",
                 max_iterations=budget,
             )
@@ -153,18 +154,16 @@ class TestWarmStartComposition:
         both scans resume from the same seeded allocation and agree."""
         rough = drp_allocate(medium_db, 5)
         seeded = cds_refine(
-            rough.allocation, max_iterations=1, backend="numpy"
+            rough.allocation, max_iterations=1
         )
         full = cds_refine(
             rough.allocation,
             initial=seeded.allocation,
-            backend="numpy",
             scan="full",
         )
         incr = cds_refine(
             rough.allocation,
             initial=seeded.allocation,
-            backend="numpy",
             scan="incremental",
         )
         assert_identical_runs(full, incr)
@@ -174,15 +173,15 @@ class TestWarmStartComposition:
         from repro.core.incremental import warm_start_refine
 
         rough = drp_allocate(medium_db, 5)
-        base = cds_refine(rough.allocation, backend="numpy")
+        base = cds_refine(rough.allocation)
         shifted = generate_database(
             WorkloadSpec(num_items=30, skewness=0.9, diversity=1.5, seed=1234)
         )
         full = warm_start_refine(
-            shifted, 5, base.allocation, backend="numpy", scan="full"
+            shifted, 5, base.allocation, scan="full"
         )
         incr = warm_start_refine(
-            shifted, 5, base.allocation, backend="numpy", scan="incremental"
+            shifted, 5, base.allocation, scan="incremental"
         )
         assert incr.mode == full.mode
         assert incr.cost == full.cost  # bitwise
@@ -198,34 +197,33 @@ class TestEvaluationAccounting:
     def test_full_scan_measures_equal_derived(self, medium_db):
         """On the full scan, measured == the old derived count."""
         result = cds_refine(
-            worst_case_seed(medium_db, 5), backend="numpy", scan="full"
+            worst_case_seed(medium_db, 5), scan="full"
         )
         assert result.delta_evaluations == result.full_scan_equivalent
 
     def test_python_backend_measures_equal_derived(self, medium_db):
-        result = cds_refine(
-            worst_case_seed(medium_db, 5), backend="python"
-        )
+        """The scalar reference counts every pair of every scan too."""
+        result = reference.cds_refine(worst_case_seed(medium_db, 5))
         assert result.delta_evaluations == result.full_scan_equivalent
 
     def test_incremental_evaluates_fewer(self, medium_db):
         """Past the cold build, dirty-pair work undercuts full rescans."""
         seed = worst_case_seed(medium_db, 5)
-        full = cds_refine(seed, backend="numpy", scan="full")
-        incr = cds_refine(seed, backend="numpy", scan="incremental")
+        full = cds_refine(seed, scan="full")
+        incr = cds_refine(seed, scan="incremental")
         assert len(incr.moves) > 2  # enough moves to amortise the build
         assert incr.delta_evaluations < full.delta_evaluations
         assert incr.delta_evaluations < incr.full_scan_equivalent
 
     def test_scan_mode_recorded_on_result(self, medium_db):
         seed = worst_case_seed(medium_db, 5)
-        assert cds_refine(seed, backend="numpy", scan="full").scan_mode == (
+        assert cds_refine(seed, scan="full").scan_mode == (
             "full"
         )
         assert cds_refine(
-            seed, backend="numpy", scan="incremental"
+            seed, scan="incremental"
         ).scan_mode == "incremental"
-        assert cds_refine(seed, backend="python").scan_mode == "full"
+        assert reference.cds_refine(seed).scan_mode == "full"
 
 
 # ----------------------------------------------------------------------
@@ -268,12 +266,14 @@ class TestChunkedScanDeterminism:
             assert np.array_equal(other.best_delta, base.best_delta)
             assert np.array_equal(other.best_pos, base.best_pos)
 
-    def test_refine_with_workers_matches_serial(self, medium_db):
+    def test_refine_with_workers_matches_serial(self, medium_db, monkeypatch):
+        """The cold scan's thread count (one per core, capped) never
+        changes a refinement."""
         seed = worst_case_seed(medium_db, 5)
-        serial = cds_refine(seed, backend="numpy", scan="incremental")
-        threaded = cds_refine(
-            seed, backend="numpy", scan="incremental", scan_workers=4
-        )
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 1)
+        serial = cds_refine(seed, scan="incremental")
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
+        threaded = cds_refine(seed, scan="incremental")
         assert_identical_runs(serial, threaded)
 
 
@@ -284,38 +284,28 @@ class TestChunkedScanDeterminism:
 
 class TestResolveScan:
     def test_auto_small_stays_full(self):
-        assert resolve_scan("auto", "numpy", 1000, 8) == "full"
+        assert resolve_scan("auto", 1000, 8) == "full"
 
     def test_auto_large_goes_incremental(self):
         n = CDS_INCREMENTAL_SCAN_CROSSOVER  # N·(K−1) ≥ crossover
-        assert resolve_scan("auto", "numpy", n, 8) == "incremental"
-
-    def test_auto_python_backend_stays_full(self):
-        assert resolve_scan("auto", "python", 10**7, 128) == "full"
+        assert resolve_scan("auto", n, 8) == "incremental"
 
     def test_auto_two_channels_stays_full(self):
         """K=2 dirties every cell on each move — nothing to cache."""
-        assert resolve_scan("auto", "numpy", 10**7, 2) == "full"
+        assert resolve_scan("auto", 10**7, 2) == "full"
 
     def test_explicit_modes_pass_through(self):
-        assert resolve_scan("full", "numpy", 10**7, 128) == "full"
-        assert resolve_scan("incremental", "numpy", 10, 2) == "incremental"
+        assert resolve_scan("full", 10**7, 128) == "full"
+        assert resolve_scan("incremental", 10, 2) == "incremental"
 
     def test_unknown_scan_rejected(self):
         with pytest.raises(ReproError, match="unknown scan"):
-            resolve_scan("sideways", "numpy", 10, 4)
-
-    def test_incremental_on_python_rejected(self):
-        with pytest.raises(ReproError, match="numpy backend"):
-            resolve_scan("incremental", "python", 10, 4)
+            resolve_scan("sideways", 10, 4)
 
     def test_cds_refine_rejects_bad_combo(self, medium_db):
-        with pytest.raises(ReproError):
-            cds_refine(
-                worst_case_seed(medium_db, 4),
-                backend="python",
-                scan="incremental",
-            )
+        """cds_refine validates its scan mode before any work."""
+        with pytest.raises(ReproError, match="unknown scan"):
+            cds_refine(worst_case_seed(medium_db, 4), scan="sideways")
 
     def test_kernels_export_scan_constants(self):
         assert "incremental" in kernels.SCAN_MODES
@@ -343,11 +333,10 @@ class TestZeroBudget:
 
     def test_zero_budget_all_scan_modes(self, medium_db):
         seed = worst_case_seed(medium_db, 5)
-        for kwargs in (
-            {"backend": "python"},
-            {"backend": "numpy", "scan": "full"},
-            {"backend": "numpy", "scan": "incremental"},
+        for result in (
+            reference.cds_refine(seed, max_iterations=0),
+            cds_refine(seed, max_iterations=0, scan="full"),
+            cds_refine(seed, max_iterations=0, scan="incremental"),
         ):
-            result = cds_refine(seed, max_iterations=0, **kwargs)
             assert result.iterations == 0
             assert result.delta_evaluations == 0

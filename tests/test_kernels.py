@@ -1,11 +1,11 @@
-"""Backend-parity and kernel tests (repro.core.kernels).
+"""Production-vs-reference kernel tests (repro.core.kernels).
 
 The vectorized kernels must be *indistinguishable* from the scalar
-reference implementations: same split indices, same move sequences,
-same tie-breaks, same costs.  These tests pin that contract over
-seeded-random workloads, adversarial tie-heavy inputs and the paper's
-worked example, and check the divide-and-conquer DP against the
-quadratic oracle exactly.
+references in :mod:`repro.verify.reference`: same split indices, same
+move sequences, same tie-breaks, same costs.  These tests pin that
+contract over seeded-random workloads, adversarial tie-heavy inputs and
+the paper's worked example, and check the divide-and-conquer reference
+DP against the quadratic one exactly.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from repro.core.cds import cds_refine
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
 from repro.core.item import DataItem
-from repro.core.kernels import BACKENDS, HAS_NUMPY, resolve_backend
 from repro.core.partition import (
     PrefixSums,
     best_split,
     best_split_in,
     contiguous_optimal,
 )
-from repro.exceptions import ReproError
+from repro.verify import reference
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.paper_profile import (
     PAPER_CDS_COST,
@@ -34,11 +33,13 @@ from repro.workloads.paper_profile import (
     paper_database,
 )
 
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-
 #: The seeded grid the parity tests sweep (K is clamped to N).
 PARITY_SIZES = (2, 3, 17, 257)
 PARITY_CHANNELS = tuple(range(1, 9))
+
+#: Extra DRP parity sizes around N = 512, where DRP once switched
+#: between two split-scan implementations by catalogue size.
+CROSSOVER_SIZES = (511, 512, 513)
 
 
 def _database(n: int, seed: int) -> BroadcastDatabase:
@@ -58,22 +59,6 @@ def _bad_seed_allocation(database: BroadcastDatabase, k: int):
     return ChannelAllocation(database, groups)
 
 
-class TestResolveBackend:
-    def test_auto_prefers_numpy(self):
-        assert resolve_backend("auto") == "numpy"
-
-    def test_explicit_backends(self):
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown backend"):
-            resolve_backend("cuda")
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("auto", "python", "numpy")
-
-
 class TestSplitParity:
     @pytest.mark.parametrize("n", PARITY_SIZES)
     @pytest.mark.parametrize("seed", (0, 1))
@@ -81,8 +66,8 @@ class TestSplitParity:
         if n < 2:
             pytest.skip("nothing to split")
         items = _database(n, seed).sorted_by_benefit_ratio()
-        scalar = best_split(items, backend="python")
-        vector = best_split(items, backend="numpy")
+        scalar = reference.best_split(items)
+        vector = best_split(items)
         assert scalar[0] == vector[0]
         assert scalar[1] == vector[1]  # bitwise-identical floats
 
@@ -91,41 +76,41 @@ class TestSplitParity:
         items = _database(57, seed).sorted_by_benefit_ratio()
         sums = PrefixSums(items)
         for start, stop in [(0, 57), (3, 41), (10, 12), (30, 57)]:
-            scalar = best_split_in(sums, start, stop, backend="python")
-            vector = best_split_in(sums, start, stop, backend="numpy")
+            scalar = reference.best_split_in(sums, start, stop)
+            vector = best_split_in(sums, start, stop)
             assert scalar == vector
 
     def test_tie_break_first_minimum_wins(self):
         # Three identical items with dyadic features: splits 1|2 and
-        # 2|1 tie exactly in floating point; both backends must return
-        # the smallest offset.
+        # 2|1 tie exactly in floating point; production and reference
+        # must both return the smallest offset.
         items = [DataItem(f"t{i}", 0.25, 2.0) for i in range(3)]
-        assert best_split(items, backend="python")[0] == 1
-        assert best_split(items, backend="numpy")[0] == 1
+        assert reference.best_split(items)[0] == 1
+        assert best_split(items)[0] == 1
 
 
 class TestDRPParity:
-    @pytest.mark.parametrize("n", PARITY_SIZES)
+    @pytest.mark.parametrize("n", PARITY_SIZES + CROSSOVER_SIZES)
     @pytest.mark.parametrize("k", PARITY_CHANNELS)
     @pytest.mark.parametrize("policy", ("max-cost", "max-reduction"))
     def test_same_allocation_and_cost(self, n, k, policy):
         if k > n:
             pytest.skip("K exceeds N")
         database = _database(n, seed=11)
-        scalar = drp_allocate(database, k, split_policy=policy, backend="python")
-        vector = drp_allocate(database, k, split_policy=policy, backend="numpy")
+        scalar = reference.drp_allocate(database, k, split_policy=policy)
+        vector = drp_allocate(database, k, split_policy=policy)
+        assert vector.resolved_backend == "numpy"
         assert scalar.allocation.as_id_lists() == vector.allocation.as_id_lists()
-        assert scalar.cost == pytest.approx(vector.cost, abs=1e-9)
+        assert scalar.cost == vector.cost  # bitwise
+        assert scalar.iterations == vector.iterations
 
     def test_traces_identical(self):
         database = _database(40, seed=3)
-        scalar = drp_allocate(
-            database, 6, split_policy="max-reduction", trace=True,
-            backend="python",
+        scalar = reference.drp_allocate(
+            database, 6, split_policy="max-reduction", trace=True
         )
         vector = drp_allocate(
-            database, 6, split_policy="max-reduction", trace=True,
-            backend="numpy",
+            database, 6, split_policy="max-reduction", trace=True
         )
         assert scalar.snapshots == vector.snapshots
 
@@ -138,10 +123,10 @@ class TestCDSParity:
             pytest.skip("K exceeds N")
         database = _database(n, seed=29)
         seed_allocation = _bad_seed_allocation(database, k)
-        scalar = cds_refine(seed_allocation, backend="python")
-        vector = cds_refine(seed_allocation, backend="numpy")
-        # CDSMove equality is exact float equality — the backends must
-        # produce bitwise-identical deltas, not merely close ones.
+        scalar = reference.cds_refine(seed_allocation)
+        vector = cds_refine(seed_allocation)
+        # CDSMove equality is exact float equality — production must
+        # produce the reference's bitwise deltas, not merely close ones.
         assert scalar.moves == vector.moves
         assert scalar.cost == pytest.approx(vector.cost, abs=1e-9)
         assert (
@@ -151,7 +136,7 @@ class TestCDSParity:
     def test_tie_break_first_maximum_wins(self):
         # Identical items make every improving move tie; the scan-order
         # contract (origin, then position, then destination) must pick
-        # the same first maximum on both backends.
+        # the same first maximum in production and reference.
         items = [DataItem(f"t{i}", 1.0 / 9.0, 2.0) for i in range(9)]
         database = BroadcastDatabase(items)
         from repro.core.allocation import ChannelAllocation
@@ -159,50 +144,64 @@ class TestCDSParity:
         lopsided = ChannelAllocation(
             database, [items[:7], [items[7]], [items[8]]]
         )
-        scalar = cds_refine(lopsided, backend="python")
-        vector = cds_refine(lopsided, backend="numpy")
+        scalar = reference.cds_refine(lopsided)
+        vector = cds_refine(lopsided)
         assert scalar.moves == vector.moves
         assert scalar.cost == pytest.approx(vector.cost, abs=1e-9)
 
     def test_max_iterations_respected_on_numpy_backend(self, medium_db):
         seed_allocation = _bad_seed_allocation(medium_db, 5)
-        capped = cds_refine(seed_allocation, max_iterations=2, backend="numpy")
+        capped = cds_refine(seed_allocation, max_iterations=2)
         assert capped.iterations == 2
         assert not capped.converged
 
 
-class TestPaperGoldenOnBothBackends:
-    """Tables 2–4 of the paper must hold on either backend."""
+#: The DRP→CDS pipeline per implementation: ``python`` is the scalar
+#: reference, ``numpy`` the production path.
+PIPELINES = {
+    "python": (reference.drp_allocate, reference.cds_refine),
+    "numpy": (drp_allocate, cds_refine),
+}
 
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
+
+class TestPaperGoldenOnBothBackends:
+    """Tables 2–4 of the paper hold in production and the reference."""
+
+    @pytest.mark.parametrize("backend", tuple(PIPELINES))
     def test_pipeline_golden_values(self, backend):
+        drp, cds = PIPELINES[backend]
         database = paper_database()
         from repro.core.cost import group_cost
 
         assert group_cost(database.items) == pytest.approx(
             PAPER_INITIAL_COST, abs=0.01
         )
-        rough = drp_allocate(
-            database,
-            PAPER_NUM_CHANNELS,
-            split_policy="max-reduction",
-            backend=backend,
+        rough = drp(
+            database, PAPER_NUM_CHANNELS, split_policy="max-reduction"
         )
         assert rough.cost == pytest.approx(PAPER_DRP_COST, abs=0.02)
-        refined = cds_refine(rough.allocation, backend=backend)
+        refined = cds(rough.allocation)
         assert refined.cost == pytest.approx(PAPER_CDS_COST, abs=0.02)
+
+
+#: Contiguous DPs by method name: ``auto`` is the production SMAWK path.
+DP_IMPLEMENTATIONS = {
+    "auto": contiguous_optimal,
+    "quadratic": reference.contiguous_quadratic,
+    "divide-conquer": reference.contiguous_divide_conquer,
+}
 
 
 class TestContiguousDPMethods:
     def test_oracle_match_on_twenty_seeded_instances(self):
-        """The O(K·N log N) DP must reproduce the oracle's cost exactly."""
+        """The O(K·N log N) DP must reproduce the quadratic cost exactly."""
         checked = 0
         for seed in range(10):
             for n, k in ((23, 4), (60, 7)):
                 items = _database(n, seed).sorted_by_benefit_ratio()
-                _, quadratic = contiguous_optimal(items, k, method="quadratic")
-                boundaries, fast = contiguous_optimal(
-                    items, k, method="divide-conquer"
+                _, quadratic = reference.contiguous_quadratic(items, k)
+                boundaries, fast = reference.contiguous_divide_conquer(
+                    items, k
                 )
                 assert fast == quadratic, (seed, n, k)
                 # The returned boundaries must themselves realise the cost.
@@ -212,18 +211,13 @@ class TestContiguousDPMethods:
                 checked += 1
         assert checked >= 20
 
-    @pytest.mark.parametrize("method", ("auto", "quadratic", "divide-conquer"))
+    @pytest.mark.parametrize("method", tuple(DP_IMPLEMENTATIONS))
     def test_degenerate_group_counts(self, method, tiny_db):
-        boundaries, cost = contiguous_optimal(tiny_db.items, 1, method=method)
+        solve = DP_IMPLEMENTATIONS[method]
+        boundaries, cost = solve(tiny_db.items, 1)
         assert boundaries == [(0, 4)]
-        boundaries, cost = contiguous_optimal(tiny_db.items, 4, method=method)
+        boundaries, cost = solve(tiny_db.items, 4)
         assert boundaries == [(0, 1), (1, 2), (2, 3), (3, 4)]
-
-    def test_unknown_method_rejected(self, tiny_db):
-        from repro.exceptions import InfeasibleProblemError
-
-        with pytest.raises(InfeasibleProblemError, match="unknown method"):
-            contiguous_optimal(tiny_db.items, 2, method="magic")
 
 
 class TestSplitEvaluationCount:
@@ -233,9 +227,9 @@ class TestSplitEvaluationCount:
         calls = []
         real = drp_module.best_split_in
 
-        def counting(sums, start, stop, **kwargs):
+        def counting(sums, start, stop):
             calls.append((start, stop))
-            return real(sums, start, stop, **kwargs)
+            return real(sums, start, stop)
 
         monkeypatch.setattr(drp_module, "best_split_in", counting)
         database = _database(64, seed=5)

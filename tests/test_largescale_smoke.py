@@ -6,7 +6,8 @@ leg.  The point is not micro-benchmarking — it is that DRP, CDS and
 the SMAWK DP *complete* at 10^5 items in seconds-scale wall clock
 (an accidental O(N²) slip or per-item object churn would blow the CI
 step's budget immediately) while creating zero per-item objects and
-keeping the SMAWK/divide-and-conquer bitwise cost parity.
+keeping SMAWK's bitwise cost parity with the divide-and-conquer
+reference DP.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.core.cost import allocation_cost
 from repro.core.drp import drp_allocate
 from repro.core.item import items_created
 from repro.core.partition import PrefixSums, contiguous_optimal
+from repro.verify import reference
 from repro.workloads.generator import WorkloadSpec, generate_database
 
 pytestmark = pytest.mark.skipif(
@@ -32,8 +34,7 @@ NUM_CHANNELS = 64
 
 #: CI exercises the dirty-pair incremental scan on one matrix leg by
 #: exporting ``REPRO_SMOKE_SCAN=incremental``; everywhere else the
-#: default "auto" resolves per the crossover (incremental at this tier
-#: on the numpy backend).
+#: default "auto" resolves per the crossover (incremental at this tier).
 SMOKE_SCAN = os.environ.get("REPRO_SMOKE_SCAN", "auto")
 
 
@@ -66,12 +67,8 @@ def test_incremental_scan_parity_at_scale(large_database):
     apply_move rounds) at a tier where a stale cell would surface.
     """
     allocation = drp_allocate(large_database, NUM_CHANNELS).allocation
-    full = cds_refine(
-        allocation, max_iterations=3, backend="numpy", scan="full"
-    )
-    incr = cds_refine(
-        allocation, max_iterations=3, backend="numpy", scan="incremental"
-    )
+    full = cds_refine(allocation, max_iterations=3, scan="full")
+    incr = cds_refine(allocation, max_iterations=3, scan="incremental")
     assert [
         (m.item_id, m.origin, m.destination, m.delta, m.cost_after)
         for m in incr.moves
@@ -89,12 +86,8 @@ def test_smawk_parity_at_scale(large_database):
         large_database.frequencies[order], large_database.sizes[order]
     )
     k = 8  # keeps the divide-and-conquer reference seconds-scale
-    smawk_bounds, smawk_cost = contiguous_optimal(
-        None, k, method="smawk", sums=sums
-    )
-    _, dc_cost = contiguous_optimal(
-        None, k, method="divide-conquer", sums=sums
-    )
+    smawk_bounds, smawk_cost = contiguous_optimal(None, k, sums=sums)
+    _, dc_cost = reference.contiguous_divide_conquer(None, k, sums=sums)
     assert smawk_cost == dc_cost
     assert len(smawk_bounds) == k
     assert smawk_bounds[0][0] == 0 and smawk_bounds[-1][1] == NUM_ITEMS

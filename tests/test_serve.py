@@ -33,7 +33,7 @@ from repro.service import (
     drifting_stream,
     replay_source,
 )
-from repro.service.serve import _cost_under_profile
+from repro.core.cost import cost_under_profile
 from repro.workloads.estimator import profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.sketch import CountMinSketch
@@ -174,8 +174,8 @@ class TestOracleParity:
         for record in records:
             exact.add(record.item_id, timestamp=record.timestamp)
         truth = exact.estimate_profile(list(sizes), smoothing=SMOOTHING)
-        sketch_cost = _cost_under_profile(service.live.allocation, truth)
-        oracle_cost = _cost_under_profile(oracle_allocation, truth)
+        sketch_cost = cost_under_profile(service.live.allocation, truth)
+        oracle_cost = cost_under_profile(oracle_allocation, truth)
         assert sketch_cost <= 1.02 * oracle_cost
         # The stream kept the estimator tiny: O(width x depth), not
         # O(requests) — the point of the sketch path.

@@ -1,7 +1,8 @@
 """SMAWK contiguous DP: triple parity, ties, SoA entry, vector path.
 
-The SMAWK method must return *bitwise* the same optimal cost as the
-O(K·N²) quadratic oracle and the divide-and-conquer DP — all three
+The production SMAWK DP must return *bitwise* the same optimal cost as
+the O(K·N²) quadratic and the divide-and-conquer DPs of
+:mod:`repro.verify.reference` — all three
 evaluate the identical ``dp_prev[j] + (F_i − F_j)(Z_i − Z_j)`` floats —
 while its boundary *choices* may legitimately differ among exact ties
 (leftmost-window vs leftmost-``j``), so boundaries are validated by the
@@ -16,11 +17,15 @@ import pytest
 import repro.core.partition as partition
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
-from repro.core.partition import (
-    DP_METHODS,
-    PrefixSums,
-    contiguous_optimal,
-)
+from repro.core.partition import PrefixSums, contiguous_optimal
+from repro.verify import reference
+
+#: Contiguous DPs by method name; ``smawk`` is the production path.
+METHODS = {
+    "quadratic": reference.contiguous_quadratic,
+    "divide-conquer": reference.contiguous_divide_conquer,
+    "smawk": contiguous_optimal,
+}
 
 
 def _random_sums(rng, n):
@@ -35,9 +40,6 @@ def _realized(sums, bounds):
 
 
 class TestTripleParity:
-    def test_smawk_registered(self):
-        assert "smawk" in DP_METHODS
-
     @pytest.mark.parametrize("seed", range(8))
     def test_costs_bitwise_equal_across_methods(self, seed):
         rng = np.random.default_rng(seed)
@@ -46,10 +48,8 @@ class TestTripleParity:
         sums = _random_sums(rng, n)
         bounds_by_method = {}
         costs = {}
-        for method in ("quadratic", "divide-conquer", "smawk"):
-            bounds, cost = contiguous_optimal(
-                None, k, method=method, sums=sums
-            )
+        for method, solve in METHODS.items():
+            bounds, cost = solve(None, k, sums=sums)
             bounds_by_method[method] = bounds
             costs[method] = cost
         assert costs["quadratic"] == costs["smawk"]
@@ -59,18 +59,6 @@ class TestTripleParity:
                 costs[method], rel=1e-12, abs=1e-12
             )
 
-    def test_auto_resolves_to_smawk(self):
-        rng = np.random.default_rng(42)
-        sums = _random_sums(rng, 50)
-        auto_bounds, auto_cost = contiguous_optimal(
-            None, 4, method="auto", sums=sums
-        )
-        smawk_bounds, smawk_cost = contiguous_optimal(
-            None, 4, method="smawk", sums=sums
-        )
-        assert auto_cost == smawk_cost
-        assert auto_bounds == smawk_bounds
-
     def test_tie_heavy_uniform_items(self):
         # Identical items make every split cost equal at each layer —
         # maximal tie pressure on the argmin rules.
@@ -79,10 +67,8 @@ class TestTripleParity:
         ordered = database.sorted_by_benefit_ratio()
         sums = PrefixSums(ordered)
         for k in (1, 2, 3, 5, 10):
-            _, quad = contiguous_optimal(ordered, k, method="quadratic")
-            smawk_bounds, smawk = contiguous_optimal(
-                ordered, k, method="smawk"
-            )
+            _, quad = reference.contiguous_quadratic(ordered, k)
+            smawk_bounds, smawk = contiguous_optimal(ordered, k)
             assert quad == smawk
             assert _realized(sums, smawk_bounds) == pytest.approx(
                 smawk, rel=1e-12, abs=1e-12
@@ -93,12 +79,12 @@ class TestTripleParity:
         sums = _random_sums(rng, 6)
         # K = N: every group a single item; total cost is the sum of
         # the diagonal F·Z products for every method.
-        for method in ("quadratic", "divide-conquer", "smawk"):
-            bounds, cost = contiguous_optimal(None, 6, method=method, sums=sums)
+        for solve in METHODS.values():
+            bounds, cost = solve(None, 6, sums=sums)
             assert bounds == [(i, i + 1) for i in range(6)]
         # K = 1: one group spanning everything.
-        for method in ("quadratic", "divide-conquer", "smawk"):
-            bounds, cost = contiguous_optimal(None, 1, method=method, sums=sums)
+        for solve in METHODS.values():
+            bounds, cost = solve(None, 1, sums=sums)
             assert bounds == [(0, 6)]
             assert cost == sums.cost(0, 6)
 
@@ -120,12 +106,8 @@ class TestSoAEntry:
             np.array([item.size for item in items]),
         )
         for k in (1, 3, 7):
-            _, object_cost = contiguous_optimal(
-                items, k, method="smawk"
-            )
-            _, array_cost = contiguous_optimal(
-                None, k, method="smawk", sums=array_sums
-            )
+            _, object_cost = contiguous_optimal(items, k)
+            _, array_cost = contiguous_optimal(None, k, sums=array_sums)
             assert object_cost == array_cost
         assert object_sums.cost(5, 31) == array_sums.cost(5, 31)
 
@@ -141,12 +123,8 @@ class TestVectorizedInterpolate:
             k = min(k, n)
             sums = _random_sums(rng, n)
             monkeypatch.setattr(partition, "_SMAWK_VECTOR_ROWS", 1 << 30)
-            scalar_bounds, scalar_cost = contiguous_optimal(
-                None, k, method="smawk", sums=sums
-            )
+            scalar_bounds, scalar_cost = contiguous_optimal(None, k, sums=sums)
             monkeypatch.setattr(partition, "_SMAWK_VECTOR_ROWS", 2)
-            vector_bounds, vector_cost = contiguous_optimal(
-                None, k, method="smawk", sums=sums
-            )
+            vector_bounds, vector_cost = contiguous_optimal(None, k, sums=sums)
             assert vector_cost == scalar_cost
             assert vector_bounds == scalar_bounds

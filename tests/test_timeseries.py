@@ -166,6 +166,15 @@ class TestHeartbeat:
         assert heartbeat.beats == 2
         assert registry.snapshot()["gauges"]["dp.heartbeat.rows"] == 99
 
+    def test_first_beat_emits_when_clock_starts_at_zero(self):
+        # A monotonic clock below the interval (a freshly booted host)
+        # must not swallow the first beat.
+        registry = MetricsRegistry()
+        heartbeat = Heartbeat("dp", registry, interval=3600.0, now=lambda: 0.0)
+        assert heartbeat.beat(rows=1) is True
+        assert heartbeat.beat(rows=2) is False
+        assert heartbeat.beats == 1
+
     def test_obs_factory_returns_none_when_disabled(self):
         obs.reset()
         assert obs.heartbeat("cds") is None

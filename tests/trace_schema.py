@@ -202,7 +202,6 @@ MANIFEST_REQUIRED_FIELDS = (
     "python",
     "platform",
     "cpu_count",
-    "backends",
     "env",
 )
 
