@@ -101,9 +101,12 @@ serve-smoke:
 # End-to-end shard fabric smoke: compile a small figure-2 manifest
 # into 3 shards, run one, SIGKILL another mid-run (torn trailing
 # record), resume it, finish the rest, and diff the merged rows against
-# a serial run (docs/sharding.md).
+# a serial run.  A warm leg then runs a --warm-start manifest out of
+# order (shard 2 recomputes its seeds cold, shard 0 runs pooled, shard
+# 1 imports seeds) and diffs against the serial warm sweep
+# (docs/sharding.md).
 shard-smoke:
-	rm -rf /tmp/repro-shard-smoke && mkdir -p /tmp/repro-shard-smoke
+	rm -rf /tmp/repro-shard-smoke && mkdir -p /tmp/repro-shard-smoke/warm
 	$(PYTHON) -m repro shard compile --figure 2 --replications 1 \
 		--shards 3 --output /tmp/repro-shard-smoke/manifest.json
 	$(PYTHON) -m repro shard run /tmp/repro-shard-smoke/manifest.json \
@@ -119,6 +122,18 @@ shard-smoke:
 		--results-dir /tmp/repro-shard-smoke/results --quiet
 	$(PYTHON) -m repro shard merge /tmp/repro-shard-smoke/manifest.json \
 		--results-dir /tmp/repro-shard-smoke/results --diff-serial --quiet
+	$(PYTHON) -m repro shard compile --figure 2 --replications 2 \
+		--shards 3 --warm-start \
+		--output /tmp/repro-shard-smoke/warm/manifest.json
+	$(PYTHON) -m repro shard run /tmp/repro-shard-smoke/warm/manifest.json \
+		--shard 2 --results-dir /tmp/repro-shard-smoke/warm/results --quiet
+	$(PYTHON) -m repro shard run /tmp/repro-shard-smoke/warm/manifest.json \
+		--shard 0 --workers 2 \
+		--results-dir /tmp/repro-shard-smoke/warm/results --quiet
+	$(PYTHON) -m repro shard run /tmp/repro-shard-smoke/warm/manifest.json \
+		--shard 1 --results-dir /tmp/repro-shard-smoke/warm/results --quiet
+	$(PYTHON) -m repro shard merge /tmp/repro-shard-smoke/warm/manifest.json \
+		--results-dir /tmp/repro-shard-smoke/warm/results --diff-serial --quiet
 
 figures:
 	for fig in figure2 figure3 figure4 figure5 figure6 figure7; do \

@@ -1,18 +1,34 @@
-"""Parallel experiment execution: deterministic fan-out over processes.
+"""The cell scheduler: deterministic fan-out of a sweep grid.
 
 The sweep grid of an :class:`~repro.experiments.config.ExperimentConfig`
 is embarrassingly parallel — every (sweep value, replication, algorithm)
 cell is independent, and the workload of a cell is fully determined by
-``config.seed_for(value_index, replication)``.  This module exploits
-that: cells are described by tiny :class:`CellSpec` descriptors, fanned
-out over a :class:`concurrent.futures.ProcessPoolExecutor`, executed by
-workers that *re-derive* the workload from the config (so only the
-config, the descriptors and small :class:`CellOutcome` result records
-ever cross the pipe), and merged back **in grid order** — which makes
-the aggregated rows bitwise-identical to a serial run for any worker
-count.
+``config.seed_for(value_index, replication)``.  Cells are described by
+tiny :class:`CellSpec` descriptors and executed by :func:`run_cell`,
+which *re-derives* the workload from the config, so only the config,
+the descriptors and small :class:`CellOutcome` result records ever
+cross a process pipe.
 
-Three design points worth knowing about:
+:func:`stream_outcomes` is the one scheduler behind both engines —
+:func:`execute_cells` (and so
+:func:`~repro.experiments.runner.run_experiment` with ``workers`` or
+``warm_start``) and :func:`~repro.experiments.shards.run_shard`.  It
+runs cells in waves, inline or over one process pool, and yields each
+outcome in submission order as soon as it is collected:
+
+* **Cold** runs are a single wave.  Collecting in submission order
+  makes the merged rows bitwise-identical to a serial run for any
+  worker count.
+* **Warm** runs take two waves per sweep value, ascending: replication
+  0, then the other replications.  :func:`seed_producers` is the seed
+  rule — a replication > 0 cell prefers its own value's replication 0,
+  and every cell falls back to the nearest smaller sweep value of the
+  same (N, K) — so every seed comes from an already finished wave and
+  depends on the grid, never on scheduling.  A :class:`SeedBank` holds
+  the harvested replication-0 allocations; the shard fabric subclasses
+  it to resolve misses from its stores.
+
+Three more design points:
 
 * **Workload memo** — workers keep a small per-process cache of
   generated databases keyed by :class:`WorkloadSpec`, so the cells of
@@ -23,15 +39,14 @@ Three design points worth knowing about:
   the pool; the merge layer records it as a
   :class:`~repro.experiments.records.CellError` and aggregates the
   surviving replications.
-* **Timeouts** — ``cell_timeout`` bounds how long the merge loop waits
-  for any single cell result (measured from the moment the cell's
-  result is awaited).  A timed-out cell degrades to a recorded error;
-  the worker executing it is not interrupted, so treat the timeout as a
-  liveness guard for the sweep, not a hard kill.
+* **Timeouts** — ``cell_timeout`` bounds how long the scheduler waits
+  for any single pooled cell result (measured from the moment the
+  cell's result is awaited).  A timed-out cell degrades to a recorded
+  error; the worker executing it is not interrupted, so treat the
+  timeout as a liveness guard for the sweep, not a hard kill.
 
-:func:`~repro.experiments.runner.run_experiment` is the intended entry
-point; it routes through :func:`execute_cells` whenever ``workers`` (or
-the ``REPRO_WORKERS`` environment variable) asks for the fan-out layer.
+:func:`map_ordered` is a separate, plain ordered map whose exceptions
+propagate; the optimality-gap experiment uses it.
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -74,6 +90,9 @@ __all__ = [
     "resolve_workers",
     "build_cell_grid",
     "run_cell",
+    "seed_producers",
+    "SeedBank",
+    "stream_outcomes",
     "execute_cells",
     "map_ordered",
 ]
@@ -129,7 +148,7 @@ class CellOutcome:
     #: The cell's allocation as a compact item-id→channel vector;
     #: populated only for warm-start sweeps (``collect_seed=True``), so
     #: later cells can warm-start from it.  Stripped before outcomes
-    #: leave :func:`execute_cells` — it exists to ride the result pipe.
+    #: leave :func:`stream_outcomes` — it exists to ride the result pipe.
     seed_result: Optional[CompactAllocation] = None
 
 
@@ -475,7 +494,7 @@ def _collect_outcome(
 ) -> CellOutcome:
     """Await one worker future, degrading failures to recorded errors
     and adopting the worker's observability payload (see
-    :func:`execute_cells`)."""
+    :func:`stream_outcomes`)."""
     try:
         outcome = future.result(timeout=cell_timeout)
     except _FutureTimeout:
@@ -544,6 +563,187 @@ def _collect_outcome(
     return outcome
 
 
+def _shape_compatible(
+    config: ExperimentConfig, producer_index: int, consumer_index: int
+) -> bool:
+    """Whether sweep value ``producer_index``'s allocation can seed a
+    cell of sweep value ``consumer_index``: both points share (N, K).
+
+    A replication-0 result has exactly its own point's shape, so this
+    is a function of the two config points alone.
+    """
+    producer = config.point_parameters(config.sweep_values[producer_index])
+    consumer = config.point_parameters(config.sweep_values[consumer_index])
+    return (
+        producer.num_channels == consumer.num_channels
+        and producer.num_items == consumer.num_items
+    )
+
+
+def seed_producers(config: ExperimentConfig, spec: CellSpec) -> Iterator[int]:
+    """The sweep values whose replication-0 result may seed ``spec``,
+    most preferred first — the warm-start seed rule.
+
+    A replication > 0 cell first takes its own value's replication 0;
+    every cell then falls back to the nearest smaller sweep value of
+    the same (N, K).  Sweeps over N or K leave replication-0 cells with
+    no producer, so they run cold.
+    """
+    if spec.replication > 0:
+        yield spec.value_index
+    for value_index in range(spec.value_index - 1, -1, -1):
+        if _shape_compatible(config, value_index, spec.value_index):
+            yield value_index
+
+
+class SeedBank:
+    """Replication-0 allocations harvested by a warm run, plus the seed
+    rule over them.
+
+    A cell's seed is the first producer of :func:`seed_producers` whose
+    result is present; a producer that errored (or is not part of this
+    run) yields nothing and is skipped.  This is the in-memory source
+    :func:`execute_cells` uses; the shard fabric subclasses it and
+    overrides :meth:`rep0` so that a miss looks in the shard stores and
+    then replays the producer cold.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.config = config
+        self._rep0: Dict[Tuple[int, str], Optional[CompactAllocation]] = {}
+
+    def rep0(
+        self, value_index: int, algorithm: str
+    ) -> Optional[CompactAllocation]:
+        """The replication-0 allocation of (value, algorithm), or None."""
+        return self._rep0.get((value_index, algorithm))
+
+    def seed_for(self, spec: CellSpec) -> Optional[CompactAllocation]:
+        """The warm seed handed to ``spec``'s allocator, or None (cold)."""
+        for value_index in seed_producers(self.config, spec):
+            seed = self.rep0(value_index, spec.algorithm)
+            if seed is not None:
+                return seed
+        return None
+
+    def harvest(self, spec: CellSpec, outcome: CellOutcome) -> None:
+        """Bank a finished cell's seed; an errored replication 0 is
+        banked as None so later lookups skip it."""
+        if spec.replication > 0:
+            return
+        key = (spec.value_index, spec.algorithm)
+        if outcome.seed_result is not None:
+            self._rep0[key] = outcome.seed_result
+        else:
+            self._rep0.setdefault(key, None)
+
+
+def _waves(cells: Sequence[CellSpec], warm: bool) -> List[List[int]]:
+    """Indices into ``cells`` grouped into the scheduler's waves.
+
+    Cold: one wave, in the given order.  Warm: sweep values ascending,
+    each as two waves — replication 0, then the rest — so every edge of
+    :func:`seed_producers` points at an already finished wave.
+    """
+    if not warm:
+        return [list(range(len(cells)))]
+    by_value: Dict[int, Tuple[List[int], List[int]]] = {}
+    for index, spec in enumerate(cells):
+        by_value.setdefault(spec.value_index, ([], []))[
+            spec.replication > 0
+        ].append(index)
+    return [
+        wave
+        for value_index in sorted(by_value)
+        for wave in by_value[value_index]
+        if wave
+    ]
+
+
+def stream_outcomes(
+    config: ExperimentConfig,
+    cells: Sequence[CellSpec],
+    *,
+    workers: int,
+    cell_timeout: Optional[float] = None,
+    seeds: Optional[SeedBank] = None,
+) -> Iterator[Tuple[int, CellOutcome]]:
+    """The cell scheduler: run ``cells`` and yield ``(index, outcome)``
+    pairs one at a time, in submission order.
+
+    ``index`` points into ``cells``.  Without ``seeds`` the run is
+    cold: one wave, in the given order.  With ``seeds`` it is warm (see
+    :func:`_waves`): each cell is seeded by ``seeds.seed_for`` when its
+    wave is submitted, and replication-0 results are harvested into
+    ``seeds`` before they are yielded, with the compact allocation
+    stripped from the outcome.  Results do not depend on ``workers``.
+
+    ``workers=1`` (or a single cell) runs inline, with no timeout
+    enforcement; otherwise one process pool serves every wave, worker
+    observability payloads are adopted in submission order, and live
+    worker snapshots reach the ``/metrics`` overlays.  Each outcome is
+    yielded as soon as it is collected, so a caller that persists it
+    before asking for the next loses only the cells in flight when the
+    process dies.
+    """
+    waves = _waves(cells, seeds is not None)
+
+    def finish(spec: CellSpec, outcome: CellOutcome) -> CellOutcome:
+        if seeds is not None:
+            seeds.harvest(spec, outcome)
+            if outcome.seed_result is not None:
+                outcome = replace(outcome, seed_result=None)
+        return outcome
+
+    def seed_args(spec: CellSpec) -> Tuple[Optional[CompactAllocation], bool]:
+        if seeds is None:
+            return None, False
+        return seeds.seed_for(spec), spec.replication == 0
+
+    if workers == 1 or len(cells) <= 1:
+        memo = WorkloadMemo()
+        for wave in waves:
+            for index in wave:
+                spec = cells[index]
+                warm_seed, collect_seed = seed_args(spec)
+                outcome = run_cell(
+                    config,
+                    spec,
+                    memo,
+                    warm_seed=warm_seed,
+                    collect_seed=collect_seed,
+                )
+                yield index, finish(spec, outcome)
+        return
+
+    tracer = obs.get_tracer()
+    registry = obs.get_metrics()
+    with _LiveCollector() as live, ProcessPoolExecutor(
+        max_workers=min(workers, len(cells)),
+        initializer=_initialize_worker,
+        initargs=(config, obs.worker_options(), live.queue),
+    ) as pool:
+        for wave in waves:
+            submitted_unix = time.time()
+            futures = [
+                pool.submit(
+                    _run_cell_in_worker, cells[index], *seed_args(cells[index])
+                )
+                for index in wave
+            ]
+            for index, future in zip(wave, futures):
+                spec = cells[index]
+                outcome = _collect_outcome(
+                    spec,
+                    future,
+                    cell_timeout=cell_timeout,
+                    tracer=tracer,
+                    registry=registry,
+                    submitted_unix=submitted_unix,
+                )
+                yield index, finish(spec, outcome)
+
+
 def execute_cells(
     config: ExperimentConfig,
     cells: Sequence[CellSpec],
@@ -560,156 +760,24 @@ def execute_cells(
     completion order — the ordered merge that makes parallel runs
     reproduce serial results exactly.
 
-    ``warm_start`` routes through the wave scheduler of
-    :func:`_execute_cells_warm`: warm-startable algorithms receive the
-    nearest finished neighbour's allocation as a compact seed.  Results
-    may legitimately differ from a cold sweep (CDS converges to a
-    different local optimum), but stay identical across worker counts.
+    ``warm_start`` runs the warm waves of :func:`stream_outcomes` with
+    an in-memory :class:`SeedBank`: warm-startable algorithms receive a
+    finished neighbour's allocation as a compact seed.  Results may
+    legitimately differ from a cold sweep (CDS converges to a different
+    local optimum), but stay identical across worker counts.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cells = list(cells)
-    if warm_start:
-        return _execute_cells_warm(
-            config, cells, workers=workers, cell_timeout=cell_timeout
-        )
-    if workers == 1 or len(cells) <= 1:
-        memo = WorkloadMemo()
-        return [run_cell(config, spec, memo) for spec in cells]
-
-    tracer = obs.get_tracer()
-    registry = obs.get_metrics()
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    with _LiveCollector() as live, ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)),
-        initializer=_initialize_worker,
-        initargs=(config, obs.worker_options(), live.queue),
-    ) as pool:
-        submitted_unix = time.time()
-        futures = [pool.submit(_run_cell_in_worker, spec) for spec in cells]
-        for index, (spec, future) in enumerate(zip(cells, futures)):
-            outcomes[index] = _collect_outcome(
-                spec,
-                future,
-                cell_timeout=cell_timeout,
-                tracer=tracer,
-                registry=registry,
-                submitted_unix=submitted_unix,
-            )
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _execute_cells_warm(
-    config: ExperimentConfig,
-    cells: List[CellSpec],
-    *,
-    workers: int,
-    cell_timeout: Optional[float],
-) -> List[CellOutcome]:
-    """Warm-start wave scheduler over the sweep grid.
-
-    Seeds follow a fixed dependency DAG so that every cell receives the
-    same seed for any worker count (determinism across ``workers``):
-
-    * ``(value, replication 0)`` cells are seeded by the replication-0
-      result of the **nearest smaller sweep value** whose problem shape
-      (N, K) matches — "the nearest finished value's allocation", shipped
-      to the worker as a compact item-id→channel vector;
-    * ``(value, replication > 0)`` cells are seeded by their own value's
-      replication-0 result — the cross-replication reuse of the cell's
-      allocation cache.
-
-    Execution proceeds value by value in two sub-waves (replication 0,
-    then the rest), so the DAG's edges always point at already-finished
-    waves.  Sweeps over N or K yield no compatible neighbours and every
-    replication-0 cell runs cold — exactly the cold sweep.
-    """
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    rep0: Dict[Tuple[int, str], CompactAllocation] = {}
-
-    def shape_ok(seed: CompactAllocation, value_index: int) -> bool:
-        point = config.point_parameters(config.sweep_values[value_index])
-        return (
-            seed.num_channels == point.num_channels
-            and len(seed.item_ids) == point.num_items
-        )
-
-    def seed_for(spec: CellSpec) -> Optional[CompactAllocation]:
-        if spec.replication > 0:
-            seed = rep0.get((spec.value_index, spec.algorithm))
-            if seed is not None and shape_ok(seed, spec.value_index):
-                return seed
-        for value_index in range(spec.value_index - 1, -1, -1):
-            seed = rep0.get((value_index, spec.algorithm))
-            if seed is not None and shape_ok(seed, spec.value_index):
-                return seed
-        return None
-
-    def harvest(index: int, spec: CellSpec, outcome: CellOutcome) -> None:
-        if outcome.seed_result is not None:
-            if spec.replication == 0:
-                rep0[(spec.value_index, spec.algorithm)] = outcome.seed_result
-            outcome = replace(outcome, seed_result=None)
+    for index, outcome in stream_outcomes(
+        config,
+        cells,
+        workers=workers,
+        cell_timeout=cell_timeout,
+        seeds=SeedBank(config) if warm_start else None,
+    ):
         outcomes[index] = outcome
-
-    indexed = list(enumerate(cells))
-    if workers == 1 or len(cells) <= 1:
-        memo = WorkloadMemo()
-        for index, spec in indexed:
-            harvest(
-                index,
-                spec,
-                run_cell(
-                    config,
-                    spec,
-                    memo,
-                    warm_seed=seed_for(spec),
-                    collect_seed=spec.replication == 0,
-                ),
-            )
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    tracer = obs.get_tracer()
-    registry = obs.get_metrics()
-    by_value: Dict[int, List[Tuple[int, CellSpec]]] = {}
-    for index, spec in indexed:
-        by_value.setdefault(spec.value_index, []).append((index, spec))
-    with _LiveCollector() as live, ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)),
-        initializer=_initialize_worker,
-        initargs=(config, obs.worker_options(), live.queue),
-    ) as pool:
-        for value_index in sorted(by_value):
-            members = by_value[value_index]
-            for wave in (
-                [(i, s) for i, s in members if s.replication == 0],
-                [(i, s) for i, s in members if s.replication > 0],
-            ):
-                if not wave:
-                    continue
-                submitted_unix = time.time()
-                futures = [
-                    pool.submit(
-                        _run_cell_in_worker,
-                        spec,
-                        seed_for(spec),
-                        spec.replication == 0,
-                    )
-                    for _, spec in wave
-                ]
-                for (index, spec), future in zip(wave, futures):
-                    harvest(
-                        index,
-                        spec,
-                        _collect_outcome(
-                            spec,
-                            future,
-                            cell_timeout=cell_timeout,
-                            tracer=tracer,
-                            registry=registry,
-                            submitted_unix=submitted_unix,
-                        ),
-                    )
     return [outcome for outcome in outcomes if outcome is not None]
 
 

@@ -7,11 +7,14 @@ time and execution time across replications.
 
 Execution has two interchangeable engines:
 
-* the **serial** loop below (``workers=None``, the default), and
-* the **parallel fan-out** of :mod:`repro.experiments.parallel`
-  (``workers=N`` or the ``REPRO_WORKERS`` environment variable), which
-  distributes (sweep value, replication, algorithm) cells over a
-  process pool.
+* the **serial** loop below (``workers=None`` without ``warm_start``,
+  the default), and
+* the **cell scheduler** of :mod:`repro.experiments.parallel`
+  (``workers=N``, the ``REPRO_WORKERS`` environment variable, or
+  ``warm_start``), which runs (sweep value, replication, algorithm)
+  cells inline or over a process pool.  It is the same scheduler, with
+  the same warm-start seed rule, that runs each shard of
+  :mod:`repro.experiments.shards`.
 
 Both produce their measurements as :class:`CellOutcome` records and
 share one merge path, so for any worker count the aggregated rows are
@@ -198,16 +201,17 @@ def run_experiment(
         :class:`~repro.experiments.records.CellError` instead of
         stalling the sweep forever.
     warm_start:
-        Seed warm-startable allocators (DRP-CDS) with the nearest
-        finished sweep cell's allocation — replication 0 of each sweep
-        value warm-starts from the previous value, further replications
-        from replication 0 (see
-        :func:`repro.experiments.parallel.execute_cells`).  Always runs
-        through the fan-out engine (``workers=None`` behaves as
-        ``workers=1``) so serial and parallel warm sweeps share one
-        scheduler and stay identical across worker counts.  Costs may
-        differ slightly from a cold sweep: CDS is a local search and a
-        different (guarded) seed can converge to a different optimum.
+        Seed warm-startable allocators (DRP-CDS) with a finished
+        neighbour's allocation — replication 0 of each sweep value
+        warm-starts from the nearest smaller value of the same (N, K),
+        further replications from their own replication 0 (see
+        :func:`repro.experiments.parallel.seed_producers`).  Always runs
+        through the cell scheduler (``workers=None`` behaves as
+        ``workers=1``) so serial, parallel and sharded warm sweeps share
+        one scheduler and stay identical across worker counts and shard
+        layouts.  Costs may differ slightly from a cold sweep: CDS is a
+        local search and a different (guarded) seed can converge to a
+        different optimum.
 
     Returns
     -------
@@ -217,7 +221,7 @@ def run_experiment(
     """
     resolved = resolve_workers(workers)
     if warm_start and resolved is None:
-        resolved = 1  # one warm implementation: always the fan-out engine
+        resolved = 1  # one warm implementation: always the cell scheduler
     grid_size = (
         len(config.sweep_values) * config.replications * len(config.algorithms)
     )

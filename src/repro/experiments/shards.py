@@ -29,24 +29,22 @@ serial run:
 
 Warm starts across shard boundaries
 -----------------------------------
-The two-subwave seed DAG of
-:func:`~repro.experiments.parallel._execute_cells_warm` gives every
-cell a seed that depends only on the grid, never on scheduling.  The
-fabric extends that across shard boundaries: a replication-0 cell
-persists its compact assignment vector as a ``seed`` record, and a
-shard that needs a seed produced elsewhere either **consumes** it from
-the producing shard's store (a read-only scan — safe while the producer
-is live) or **recomputes it cold**, replaying the producer's seed chain
+A shard runs its pending cells through the same scheduler as
+:func:`~repro.experiments.runner.run_experiment`
+(:func:`~repro.experiments.parallel.stream_outcomes`) with the same
+seed rule (:func:`~repro.experiments.parallel.seed_producers`), so
+every cell gets a seed that depends only on the grid, never on the
+layout.  Only a miss differs: a replication-0 cell persists its
+compact assignment vector as a ``seed`` record, and a shard that needs
+a seed produced elsewhere either **consumes** it from the producing
+shard's store (a read-only scan — safe while the producer is live) or
+**recomputes it cold**, replaying the producer's seed chain
 deterministically in-process.  Both paths hand the consumer the exact
-allocation the single-process scheduler would have, so merged rows do
-not depend on which path ran.
+allocation a single-process warm run would have, so merged rows do not
+depend on which path ran.
 
 Determinism requires one discipline: every shard must be compiled into
-the same manifest (the config digest is checked at every step), and
-resolution of seeds mirrors ``_execute_cells_warm.seed_for`` exactly —
-replication > 0 consumes its own value's replication-0 result; a
-replication-0 cell consumes the nearest smaller sweep value whose
-problem shape matches.
+the same manifest (the config digest is checked at every step).
 """
 
 from __future__ import annotations
@@ -55,7 +53,8 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import (
     Any,
@@ -63,7 +62,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -75,13 +73,13 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CellOutcome,
     CellSpec,
+    SeedBank,
     WorkloadMemo,
-    _collect_outcome,
-    _initialize_worker,
-    _run_cell_in_worker,
     build_cell_grid,
     resolve_workers,
     run_cell,
+    seed_producers,
+    stream_outcomes,
 )
 from repro.experiments.records import ExperimentResult, cell_key, identity_key
 from repro.experiments.store import ShardStore, store_chunk_path
@@ -189,54 +187,6 @@ class ShardManifest:
         }
 
 
-def _shape_compatible(
-    config: ExperimentConfig, producer_index: int, consumer_index: int
-) -> bool:
-    """Whether the producer value's allocation can seed the consumer.
-
-    Mirrors ``_execute_cells_warm.shape_ok``: a replication-0 result of
-    sweep value ``p`` has exactly ``point(p)``'s (K, N) shape, so shape
-    compatibility is a pure function of the two sweep points.
-    """
-    producer = config.point_parameters(config.sweep_values[producer_index])
-    consumer = config.point_parameters(config.sweep_values[consumer_index])
-    return (
-        producer.num_channels == consumer.num_channels
-        and producer.num_items == consumer.num_items
-    )
-
-
-def _static_seed_edges(
-    config: ExperimentConfig, grid: Sequence[CellSpec]
-) -> Tuple[Tuple[int, int], ...]:
-    """The seed DAG assuming every replication-0 cell succeeds.
-
-    Runtime resolution (:func:`run_shard`) re-derives edges on the fly
-    so it can skip over producers that errored; these static edges are
-    the intended plan, written into the manifest for audit and for the
-    shard-layouts oracle.
-    """
-    index_of = {
-        (spec.value_index, spec.replication, spec.algorithm): index
-        for index, spec in enumerate(grid)
-    }
-    edges: List[Tuple[int, int]] = []
-    for index, spec in enumerate(grid):
-        if spec.replication > 0:
-            producer = index_of.get((spec.value_index, 0, spec.algorithm))
-            if producer is not None:
-                edges.append((index, producer))
-            continue
-        for value_index in range(spec.value_index - 1, -1, -1):
-            if not _shape_compatible(config, value_index, spec.value_index):
-                continue
-            producer = index_of.get((value_index, 0, spec.algorithm))
-            if producer is not None:
-                edges.append((index, producer))
-                break
-    return tuple(edges)
-
-
 def compile_manifest(
     config: ExperimentConfig,
     *,
@@ -272,7 +222,17 @@ def compile_manifest(
             )
             for shard in range(num_shards)
         )
-        edges = _static_seed_edges(config, grid) if warm_start else ()
+        edges: Tuple[Tuple[int, int], ...] = ()
+        if warm_start:
+            # The static seed DAG: each cell's first candidate producer,
+            # assuming every replication-0 cell succeeds.  At run time a
+            # producer that errored is skipped for the next candidate.
+            index_of = {spec: index for index, spec in enumerate(grid)}
+            edges = tuple(
+                (index, index_of[CellSpec(producer, 0, spec.algorithm)])
+                for index, spec in enumerate(grid)
+                for producer in islice(seed_producers(config, spec), 1)
+            )
     return ShardManifest(
         config=config,
         config_sha256=config_digest(config),
@@ -466,12 +426,12 @@ class ShardRunReport:
         return dict(self.__dict__)
 
 
-class _SeedResolver:
-    """Runtime seed resolution mirroring ``_execute_cells_warm``.
+class _StoreSeeds(SeedBank):
+    """The seed bank of one shard run: store lookups on a miss.
 
     Resolution order for the replication-0 result of (value, algorithm):
 
-    1. results harvested by this shard run,
+    1. results harvested by this shard run (the in-memory bank),
     2. ``seed`` records in this shard's own store (a previous run),
     3. ``seed`` records in any other shard's store (read-only scan,
        cached — consuming across the shard boundary),
@@ -486,39 +446,25 @@ class _SeedResolver:
     """
 
     def __init__(
-        self,
-        config: ExperimentConfig,
-        manifest: ShardManifest,
-        store: ShardStore,
-        results_dir: Path,
-        memo: WorkloadMemo,
+        self, manifest: ShardManifest, store: ShardStore, results_dir: Path
     ) -> None:
-        self.config = config
+        super().__init__(manifest.config)
         self.manifest = manifest
         self.store = store
         self.results_dir = results_dir
-        self.memo = memo
+        self.memo = WorkloadMemo()
         self.imported = 0
         self.recomputed = 0
-        self._cache: Dict[Tuple[int, str], Optional[CompactAllocation]] = {}
         self._foreign_seeds: Optional[Dict[str, Dict[str, Any]]] = None
 
-    def harvest(self, spec: CellSpec, outcome: CellOutcome) -> CellOutcome:
-        """Bank a just-finished replication-0 result, persisting it."""
+    def harvest(self, spec: CellSpec, outcome: CellOutcome) -> None:
+        """Bank a finished cell's seed, persisting it as a seed record."""
         if outcome.seed_result is not None:
-            self._cache[(spec.value_index, spec.algorithm)] = (
-                outcome.seed_result
-            )
             self.store.append_seed(
                 _seed_key(spec.value_index, spec.algorithm),
                 _seed_to_payload(outcome.seed_result),
             )
-            outcome = replace(outcome, seed_result=None)
-        elif spec.replication == 0 and outcome.error is not None:
-            # An errored producer yields no seed; record that so the
-            # downward scan skips it exactly like the in-process DAG.
-            self._cache.setdefault((spec.value_index, spec.algorithm), None)
-        return outcome
+        super().harvest(spec, outcome)
 
     def _foreign(self) -> Dict[str, Dict[str, Any]]:
         if self._foreign_seeds is None:
@@ -530,69 +476,41 @@ class _SeedResolver:
             self._foreign_seeds = merged
         return self._foreign_seeds
 
-    def _shape_ok(self, seed: CompactAllocation, value_index: int) -> bool:
-        point = self.config.point_parameters(
-            self.config.sweep_values[value_index]
-        )
-        return (
-            seed.num_channels == point.num_channels
-            and len(seed.item_ids) == point.num_items
-        )
-
-    def resolve_rep0(
+    def rep0(
         self, value_index: int, algorithm: str
     ) -> Optional[CompactAllocation]:
         """The replication-0 allocation of (value, algorithm), or None
         when that cell deterministically errors."""
         key = (value_index, algorithm)
-        if key in self._cache:
-            return self._cache[key]
+        if key in self._rep0:
+            return self._rep0[key]
         seed_key = _seed_key(value_index, algorithm)
         payload = self.store.seeds.get(seed_key)
         if payload is None:
             payload = self._foreign().get(seed_key)
         if payload is not None:
-            seed = _seed_from_payload(payload)
-            self._cache[key] = seed
+            seed: Optional[CompactAllocation] = _seed_from_payload(payload)
             self.imported += 1
-            return seed
-        # Cold recomputation: replay the producer cell (and, through
-        # seed_for, its own chain) exactly as the single-process
-        # scheduler would have run it.
-        warm = self.seed_for(CellSpec(value_index, 0, algorithm))
-        outcome = run_cell(
-            self.config,
-            CellSpec(value_index, 0, algorithm),
-            self.memo,
-            warm_seed=warm,
-            collect_seed=True,
-        )
-        self.recomputed += 1
-        registry = obs.get_metrics()
-        if registry.enabled:
-            registry.counter("shard.seed_recomputes").inc()
-        seed = outcome.seed_result
-        self._cache[key] = seed
-        if seed is not None:
-            self.store.append_seed(seed_key, _seed_to_payload(seed))
+        else:
+            # Cold recomputation: replay the producer cell (and, through
+            # seed_for, its own chain) exactly as a single-process warm
+            # run would have run it.
+            producer = CellSpec(value_index, 0, algorithm)
+            seed = run_cell(
+                self.config,
+                producer,
+                self.memo,
+                warm_seed=self.seed_for(producer),
+                collect_seed=True,
+            ).seed_result
+            self.recomputed += 1
+            registry = obs.get_metrics()
+            if registry.enabled:
+                registry.counter("shard.seed_recomputes").inc()
+            if seed is not None:
+                self.store.append_seed(seed_key, _seed_to_payload(seed))
+        self._rep0[key] = seed
         return seed
-
-    def seed_for(self, spec: CellSpec) -> Optional[CompactAllocation]:
-        """The warm seed for ``spec`` — ``_execute_cells_warm.seed_for``
-        with cross-shard resolution behind each lookup."""
-        if spec.replication > 0:
-            seed = self.resolve_rep0(spec.value_index, spec.algorithm)
-            if seed is not None and self._shape_ok(seed, spec.value_index):
-                return seed
-        for value_index in range(spec.value_index - 1, -1, -1):
-            if not _shape_compatible(
-                self.config, value_index, spec.value_index
-            ):
-                continue
-            seed = self.resolve_rep0(value_index, spec.algorithm)
-            if seed is not None and self._shape_ok(seed, spec.value_index):
-                return seed
-        return None
 
 
 class _ShardRecorder:
@@ -718,27 +636,19 @@ def run_shard(
             warm_start=manifest.warm_start,
         ):
             recorder = _ShardRecorder(config, store, len(specs), progress)
-            if pending:
-                if manifest.warm_start:
-                    _run_shard_warm(
-                        manifest,
-                        store,
-                        Path(results_dir),
-                        pending,
-                        recorder,
-                        workers=pool_workers,
-                        cell_timeout=cell_timeout,
-                    )
-                else:
-                    _run_shard_cold(
-                        config,
-                        pending,
-                        recorder,
-                        workers=pool_workers,
-                        cell_timeout=cell_timeout,
-                    )
-        resolver_imported = getattr(recorder, "seeds_imported", 0)
-        resolver_recomputed = getattr(recorder, "seed_recomputes", 0)
+            seeds = (
+                _StoreSeeds(manifest, store, Path(results_dir))
+                if manifest.warm_start
+                else None
+            )
+            for index, outcome in stream_outcomes(
+                config,
+                pending,
+                workers=pool_workers,
+                cell_timeout=cell_timeout,
+                seeds=seeds,
+            ):
+                recorder.record(pending[index], outcome)
         return ShardRunReport(
             shard_index=shard_index,
             total_cells=len(specs),
@@ -748,146 +658,14 @@ def run_shard(
             remaining=len(specs) - len(store.cells.keys() & {
                 spec_key(config, spec) for spec in specs
             }),
-            seeds_imported=resolver_imported,
-            seed_recomputes=resolver_recomputed,
+            seeds_imported=seeds.imported if seeds is not None else 0,
+            seed_recomputes=seeds.recomputed if seeds is not None else 0,
             torn_records_dropped=store.torn_dropped,
             stale_done_dropped=store.stale_done_dropped,
             elapsed_seconds=time.time() - started,
         )
     finally:
         store.close()
-
-
-def _run_shard_cold(
-    config: ExperimentConfig,
-    pending: List[CellSpec],
-    recorder: _ShardRecorder,
-    *,
-    workers: int,
-    cell_timeout: Optional[float],
-) -> None:
-    """Cold cells: independent, so stream in grid order as they land."""
-    if workers <= 1 or len(pending) <= 1:
-        memo = WorkloadMemo()
-        for spec in pending:
-            recorder.record(spec, run_cell(config, spec, memo))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    tracer = obs.get_tracer()
-    registry = obs.get_metrics()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(pending)),
-        initializer=_initialize_worker,
-        initargs=(config, obs.worker_options()),
-    ) as pool:
-        submitted_unix = time.time()
-        futures = [
-            pool.submit(_run_cell_in_worker, spec) for spec in pending
-        ]
-        for spec, future in zip(pending, futures):
-            recorder.record(
-                spec,
-                _collect_outcome(
-                    spec,
-                    future,
-                    cell_timeout=cell_timeout,
-                    tracer=tracer,
-                    registry=registry,
-                    submitted_unix=submitted_unix,
-                ),
-            )
-
-
-def _run_shard_warm(
-    manifest: ShardManifest,
-    store: ShardStore,
-    results_dir: Path,
-    pending: List[CellSpec],
-    recorder: _ShardRecorder,
-    *,
-    workers: int,
-    cell_timeout: Optional[float],
-) -> None:
-    """Warm cells: the two-subwave scheduler restricted to this shard.
-
-    Values execute in ascending order, replication 0 before the rest —
-    the same wave structure as the single-process scheduler — with
-    every seed lookup routed through :class:`_SeedResolver`, so
-    off-shard producers are consumed from their stores or replayed
-    cold.
-    """
-    config = manifest.config
-    memo = WorkloadMemo()
-    resolver = _SeedResolver(manifest.config, manifest, store, results_dir, memo)
-
-    def harvest_and_record(spec: CellSpec, outcome: CellOutcome) -> None:
-        recorder.record(spec, resolver.harvest(spec, outcome))
-
-    by_value: Dict[int, List[CellSpec]] = {}
-    for spec in pending:
-        by_value.setdefault(spec.value_index, []).append(spec)
-
-    if workers <= 1 or len(pending) <= 1:
-        for value_index in sorted(by_value):
-            members = by_value[value_index]
-            for wave in (
-                [s for s in members if s.replication == 0],
-                [s for s in members if s.replication > 0],
-            ):
-                for spec in wave:
-                    harvest_and_record(
-                        spec,
-                        run_cell(
-                            config,
-                            spec,
-                            memo,
-                            warm_seed=resolver.seed_for(spec),
-                            collect_seed=spec.replication == 0,
-                        ),
-                    )
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tracer = obs.get_tracer()
-        registry = obs.get_metrics()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            initializer=_initialize_worker,
-            initargs=(config, obs.worker_options()),
-        ) as pool:
-            for value_index in sorted(by_value):
-                members = by_value[value_index]
-                for wave in (
-                    [s for s in members if s.replication == 0],
-                    [s for s in members if s.replication > 0],
-                ):
-                    if not wave:
-                        continue
-                    submitted_unix = time.time()
-                    futures = [
-                        pool.submit(
-                            _run_cell_in_worker,
-                            spec,
-                            resolver.seed_for(spec),
-                            spec.replication == 0,
-                        )
-                        for spec in wave
-                    ]
-                    for spec, future in zip(wave, futures):
-                        harvest_and_record(
-                            spec,
-                            _collect_outcome(
-                                spec,
-                                future,
-                                cell_timeout=cell_timeout,
-                                tracer=tracer,
-                                registry=registry,
-                                submitted_unix=submitted_unix,
-                            ),
-                        )
-    recorder.seeds_imported = resolver.imported
-    recorder.seed_recomputes = resolver.recomputed
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,11 @@ from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
 from repro.workloads.estimator import profile_l1_error
 from repro.workloads.sketch import CountMinSketch
-from repro.workloads.trace import TraceRecord, iter_trace_jsonl
+from repro.workloads.trace import (
+    TraceRecord,
+    decode_trace_lines,
+    iter_trace_jsonl,
+)
 
 __all__ = [
     "HandoverRecord",
@@ -672,8 +676,9 @@ class SocketSource:
     Binds on construction (``port=0`` picks an ephemeral port, exposed
     via :attr:`port`); iterating accepts one client and yields a
     :class:`TraceRecord` per ``{"t": ..., "id": ...}`` line until the
-    peer closes.  Out-of-order timestamps are rejected, same as the
-    JSONL replay reader.
+    peer closes.  Lines go through the JSONL replay reader's decoder
+    (:func:`~repro.workloads.trace.decode_trace_lines`), so the same
+    records are rejected; errors name ``socket line N``.
     """
 
     def __init__(
@@ -704,40 +709,12 @@ class SocketSource:
         self.close()
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        import json as _json
-
         conn, _ = self._listener.accept()
-        last: Optional[float] = None
         try:
-            with conn, conn.makefile("r", encoding="utf-8") as stream:
-                for line_no, line in enumerate(stream, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = _json.loads(line)
-                    except _json.JSONDecodeError as exc:
-                        raise SimulationError(
-                            f"socket line {line_no}: invalid JSON: {exc}"
-                        ) from exc
-                    if (
-                        not isinstance(row, dict)
-                        or "t" not in row
-                        or "id" not in row
-                    ):
-                        raise SimulationError(
-                            f"socket line {line_no}: expected object with "
-                            f"'t' and 'id' keys, got {row!r}"
-                        )
-                    record = TraceRecord(
-                        timestamp=float(row["t"]), item_id=str(row["id"])
-                    )
-                    if last is not None and record.timestamp < last:
-                        raise SimulationError(
-                            f"socket line {line_no}: out-of-order record at "
-                            f"t={record.timestamp} (last was t={last})"
-                        )
-                    last = record.timestamp
-                    yield record
+            with conn:
+                yield from decode_trace_lines(
+                    lambda: conn.makefile("r", encoding="utf-8"),
+                    lambda line_no: f"socket line {line_no}",
+                )
         finally:
             self.close()

@@ -550,8 +550,9 @@ def oracle_shard_layouts(
       done-set entry, then resumed, and another shard fanned out over
       ``workers`` processes;
     * ``M=3`` warm-started, shards executed out of order so seeds are
-      both recomputed cold and consumed across shard boundaries —
-      diffed against the serial *warm* sweep.
+      both recomputed cold and consumed across shard boundaries, one
+      shard fanned out over ``workers`` processes — diffed against the
+      serial *warm* sweep.
 
     Expensive (runs the sweep five ways and spawns a pool), so the
     fuzzer runs it once per session.
@@ -678,9 +679,15 @@ def oracle_shard_layouts(
         warm = compile_manifest(config, num_shards=3, warm_start=True)
         warm_dir = tmp_path / "warm"
         # Last shard first: its seeds must recompute cold; the earlier
-        # shards then consume stored seeds across the boundary.
+        # shards then consume stored seeds across the boundary.  Shard 0
+        # runs pooled, so its warm waves go through the process pool.
         for shard in (2, 0, 1):
-            run_shard(warm, shard, results_dir=warm_dir)
+            run_shard(
+                warm,
+                shard,
+                results_dir=warm_dir,
+                workers=workers if shard == 0 else None,
+            )
         diff(
             "M=3 warm",
             merge_shards(warm, results_dir=warm_dir),

@@ -17,7 +17,17 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Counter as CounterType
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 from collections import Counter
 
 import numpy as np
@@ -32,6 +42,7 @@ __all__ = [
     "save_trace_jsonl",
     "load_trace_jsonl",
     "iter_trace_jsonl",
+    "decode_trace_lines",
 ]
 
 
@@ -194,18 +205,24 @@ def save_trace_jsonl(
     return target
 
 
-def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceRecord]:
-    """Stream records from a JSONL trace file, one at a time.
+def decode_trace_lines(
+    open_lines: Callable[[], ContextManager[Iterable[str]]],
+    where: Callable[[int], str],
+) -> Iterator[TraceRecord]:
+    """Decode newline-delimited ``{"t": ..., "id": ...}`` JSON records.
 
-    O(1) memory — the live service ingests replays through this without
-    materialising the whole log.  Rows must carry ``t`` (timestamp) and
-    ``id`` (item id); blank lines are skipped; out-of-order timestamps
-    are rejected (the file claims to be a server-observed log).
+    The one per-line decoder behind the JSONL replay reader and the
+    live socket source.  ``open_lines()`` is entered on the first
+    iteration and closed when decoding ends.  Blank lines are skipped;
+    a line that is not a JSON object with ``t`` (timestamp) and ``id``
+    (item id) keys, or whose timestamp runs backwards, raises
+    :class:`SimulationError` prefixed with ``where(line_no)`` — called
+    only on error, so the per-record cost carries no location
+    formatting.
     """
-    source = Path(path)
     last: Optional[float] = None
-    with source.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+    with open_lines() as lines:
+        for line_no, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -213,11 +230,11 @@ def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceRecord]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SimulationError(
-                    f"{source}:{line_no}: invalid JSON: {exc}"
+                    f"{where(line_no)}: invalid JSON: {exc}"
                 ) from exc
             if not isinstance(row, dict) or "t" not in row or "id" not in row:
                 raise SimulationError(
-                    f"{source}:{line_no}: expected object with 't' and 'id' "
+                    f"{where(line_no)}: expected object with 't' and 'id' "
                     f"keys, got {row!r}"
                 )
             record = TraceRecord(
@@ -225,11 +242,27 @@ def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceRecord]:
             )
             if last is not None and record.timestamp < last:
                 raise SimulationError(
-                    f"{source}:{line_no}: out-of-order record at "
+                    f"{where(line_no)}: out-of-order record at "
                     f"t={record.timestamp} (last was t={last})"
                 )
             last = record.timestamp
             yield record
+
+
+def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceRecord]:
+    """Stream records from a JSONL trace file, one at a time.
+
+    O(1) memory — the live service ingests replays through this without
+    materialising the whole log.  The file is opened on the first
+    iteration and its lines are decoded by :func:`decode_trace_lines`;
+    errors name ``path:line``.  Out-of-order timestamps are rejected
+    (the file claims to be a server-observed log).
+    """
+    source = Path(path)
+    return decode_trace_lines(
+        lambda: source.open("r", encoding="utf-8"),
+        lambda line_no: f"{source}:{line_no}",
+    )
 
 
 def load_trace_jsonl(path: Union[str, Path]) -> RequestTrace:

@@ -24,8 +24,10 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.experiments import parallel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.experiments.shards import compile_manifest, run_shard
 from repro.obs.metrics import MetricsRegistry
 
 _FORK_ONLY = pytest.mark.skipif(
@@ -171,6 +173,26 @@ class TestLiveParity:
         # exactly the in-process registry again.
         assert obs.live_snapshot() == obs.get_metrics().snapshot()
         obs.stop_live()
+
+    def test_pooled_shard_ships_live_snapshots(self, tmp_path, monkeypatch):
+        # A pooled shard runs through the same pool as a sweep, so its
+        # workers get a live queue while the endpoint is up.
+        queues = []
+        enter = parallel._LiveCollector.__enter__
+
+        def recording_enter(collector):
+            queues.append(enter(collector).queue)
+            return collector
+
+        monkeypatch.setattr(
+            parallel._LiveCollector, "__enter__", recording_enter
+        )
+        obs.configure(metrics=True)
+        obs.start_metrics_server(0)
+        manifest = compile_manifest(small_config(), num_shards=1)
+        run_shard(manifest, 0, results_dir=tmp_path, workers=2)
+        obs.stop_live()
+        assert len(queues) == 1 and queues[0] is not None
 
     def test_endpoint_serves_merged_worker_metrics(self, tmp_path):
         obs.configure(metrics=True)

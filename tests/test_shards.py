@@ -10,6 +10,7 @@ aggregates excepted).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -21,7 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.allocation import ChannelAllocation
-from repro.core.scheduler import Allocator, register_allocator
+from repro.core.scheduler import (
+    Allocator,
+    DRPCDSAllocator,
+    register_allocator,
+)
 from repro.exceptions import ShardError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.records import cell_key, identity_key
@@ -45,6 +50,7 @@ from repro.experiments.store import (
     store_chunk_path,
     store_done_path,
 )
+from repro.workloads.generator import WorkloadSpec, generate_database
 
 _FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=False) != "fork",
@@ -60,6 +66,52 @@ class _ShardExplodingAllocator(Allocator):
 
 
 register_allocator("test-shard-exploding", _ShardExplodingAllocator)
+
+
+# A shape-compatible (skewness) warm sweep whose middle value's
+# replication 0 errors for one algorithm, so its seed consumers must
+# skip it: value 1's other replications and value 2's replication 0
+# both fall back to value 0.
+_ERRORED_PRODUCER_CONFIG = ExperimentConfig(
+    name="warm-errored-producer",
+    description="warm sweep with one errored seed producer",
+    sweep_parameter="skewness",
+    sweep_values=(0.4, 0.7, 1.0),
+    algorithms=("drp-cds", "test-errored-producer"),
+    num_items=30,
+    num_channels=4,
+    replications=2,
+    base_seed=5,
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _errored_producer_database():
+    config = _ERRORED_PRODUCER_CONFIG
+    point = config.point_parameters(config.sweep_values[1])
+    return generate_database(
+        WorkloadSpec(
+            num_items=point.num_items,
+            skewness=point.skewness,
+            diversity=point.diversity,
+            seed=config.seed_for(1, 0),
+        )
+    )
+
+
+class _ErroredProducerAllocator(DRPCDSAllocator):
+    """DRP-CDS, warm starts included, except that it raises on the
+    workload of sweep value 1, replication 0."""
+
+    name = "test-errored-producer"
+
+    def allocate(self, database, num_channels, *, initial=None):
+        if database == _errored_producer_database():
+            raise RuntimeError("seed producer fails on purpose")
+        return super().allocate(database, num_channels, initial=initial)
+
+
+register_allocator("test-errored-producer", _ErroredProducerAllocator)
 
 
 def small_config(**overrides):
@@ -457,12 +509,20 @@ class TestWarmAcrossShards:
         # Later shards consumed earlier shards' persisted seeds.
         assert any(report.seeds_imported > 0 for report in reports[1:])
 
+    @_FORK_ONLY
     def test_warm_out_of_order_matches_serial_warm(self, tmp_path):
         config = self.warm_config()
         serial = run_experiment(config, warm_start=True)
         manifest = compile_manifest(config, num_shards=3, warm_start=True)
+        # Shard 0 runs pooled: its replication-1 wave is seeded from the
+        # replication-0 results its own pool just produced.
         reports = {
-            shard: run_shard(manifest, shard, results_dir=tmp_path)
+            shard: run_shard(
+                manifest,
+                shard,
+                results_dir=tmp_path,
+                workers=2 if shard == 0 else None,
+            )
             for shard in (2, 0, 1)
         }
         merged = merge_shards(manifest, results_dir=tmp_path)
@@ -472,9 +532,52 @@ class TestWarmAcrossShards:
         assert reports[2].seed_recomputes > 0
 
     def test_seed_edges_stay_within_grid(self):
-        config = self.warm_config()
-        manifest = compile_manifest(config, num_shards=2, warm_start=True)
-        total = manifest.num_cells
-        for src, dst in manifest.seed_edges:
-            assert 0 <= src < total
-            assert 0 <= dst < total
+        # Grid index = (value * 3 + replication) * 2 + algorithm.
+        cases = [
+            # skewness keeps (N, K): value 1's replication 0 is seeded
+            # by value 0's replication 0.
+            (
+                small_config(
+                    sweep_parameter="skewness",
+                    sweep_values=(0.4, 1.0),
+                    replications=3,
+                ),
+                [
+                    (2, 0), (3, 1), (4, 0), (5, 1), (6, 0), (7, 1),
+                    (8, 6), (9, 7), (10, 6), (11, 7),
+                ],
+            ),
+            # num_channels changes K: no edge crosses sweep values.
+            (
+                self.warm_config(),
+                [
+                    (2, 0), (3, 1), (4, 0), (5, 1),
+                    (8, 6), (9, 7), (10, 6), (11, 7),
+                ],
+            ),
+        ]
+        for config, expected in cases:
+            manifest = compile_manifest(config, num_shards=2, warm_start=True)
+            total = manifest.num_cells
+            for src, dst in manifest.seed_edges:
+                assert 0 <= src < total
+                assert 0 <= dst < total
+            assert list(manifest.seed_edges) == expected
+
+    @_FORK_ONLY
+    def test_errored_producer_skipped_by_every_engine(self, tmp_path):
+        config = _ERRORED_PRODUCER_CONFIG
+        inline = run_experiment(config, warm_start=True, workers=1)
+        pooled = run_experiment(config, warm_start=True, workers=2)
+        manifest = compile_manifest(config, num_shards=3, warm_start=True)
+        for shard in (2, 0, 1):
+            run_shard(manifest, shard, results_dir=tmp_path)
+        sharded = merge_shards(manifest, results_dir=tmp_path)
+
+        assert [
+            (error.sweep_value, error.algorithm, error.replication)
+            for error in inline.errors
+        ] == [(0.7, "test-errored-producer", 0)]
+        for other in (pooled, sharded):
+            assert rows_without_elapsed(other) == rows_without_elapsed(inline)
+            assert other.errors == inline.errors
