@@ -1,9 +1,9 @@
 """Extension bench: adaptive re-allocation under popularity drift.
 
-Times one adaptation epoch (estimate + re-allocate) and quantifies the
-waiting-time advantage of adapting versus a frozen program — the
-operational payoff of DRP-CDS being cheap (paper §4.5): a server can
-afford to regenerate the program whenever the profile moves.
+Times one adaptation step (estimate + re-allocate) and quantifies the
+waiting-time advantage of the live service adapting versus a frozen
+program — the operational payoff of DRP-CDS being cheap (paper §4.5): a
+server can afford to regenerate the program whenever the profile moves.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro.core.scheduler import DRPCDSAllocator
 from repro.simulation.adaptive import RotatingDrift, run_adaptive_simulation
 from repro.workloads.estimator import estimate_database
 from repro.workloads.generator import WorkloadSpec, generate_database
+from repro.workloads.sketch import CountMinSketch
 from repro.workloads.trace import synthesize_trace
 
 
@@ -33,12 +34,8 @@ def test_adaptive_vs_static(benchmark):
     )
 
     def run_both():
-        adaptive = run_adaptive_simulation(
-            database, DRPCDSAllocator(), adapt=True, **common
-        )
-        static = run_adaptive_simulation(
-            database, DRPCDSAllocator(), adapt=False, **common
-        )
+        adaptive = run_adaptive_simulation(database, adapt=True, **common)
+        static = run_adaptive_simulation(database, adapt=False, **common)
         return adaptive, static
 
     adaptive, static = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -70,7 +67,9 @@ def test_adaptation_step_runtime(benchmark):
     allocator = DRPCDSAllocator()
 
     def adapt_once():
-        estimated = estimate_database(trace, sizes)
+        sketch = CountMinSketch(exact=True)
+        sketch.extend(trace)
+        estimated = estimate_database(sketch.estimate_profile(list(sizes)), sizes)
         return allocator.allocate(estimated, 7)
 
     outcome = benchmark(adapt_once)

@@ -2,7 +2,8 @@
 
 How much trace does the server need before an estimated profile yields
 a near-truth program?  Sweeps trace length (L1 error should shrink like
-1/sqrt(n)) and compares the count vs decay estimators under drift.
+1/sqrt(n)) and compares plain vs decayed counts under drift — the exact
+count-min sketch without and with a half-life.
 """
 
 from __future__ import annotations
@@ -12,16 +13,19 @@ from repro.analysis.tables import format_table
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import allocation_cost
 from repro.core.scheduler import DRPCDSAllocator
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayEstimator,
-    estimate_database,
-    profile_l1_error,
-)
+from repro.workloads.estimator import estimate_database, profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
+from repro.workloads.sketch import CountMinSketch
 from repro.workloads.trace import synthesize_trace
 
 TRACE_LENGTHS = (200, 1000, 5000, 25000)
+
+
+def exact_profile(trace, catalogue, *, half_life=None):
+    """Smoothed (α = 0.5) profile of ``trace`` from exact sketch counts."""
+    sketch = CountMinSketch(exact=True, half_life=half_life)
+    sketch.extend(trace)
+    return sketch.estimate_profile(catalogue, smoothing=0.5)
 
 
 def accuracy_sweep():
@@ -33,9 +37,7 @@ def accuracy_sweep():
     rows = []
     for length in TRACE_LENGTHS:
         trace = synthesize_trace(database, length, seed=1)
-        estimated = estimate_database(
-            trace, sizes, estimator=CountEstimator(smoothing=0.5)
-        )
+        estimated = estimate_database(exact_profile(trace, list(sizes)), sizes)
         profile = {
             item.item_id: item.frequency for item in estimated.items
         }
@@ -84,8 +86,8 @@ def test_estimator_accuracy_vs_trace_length(benchmark):
 
 
 def test_decay_beats_counts_under_drift(benchmark):
-    """After a popularity flip, the decayed estimator tracks the new
-    regime while plain counts stay anchored to history."""
+    """After a popularity flip, decayed counts track the new regime
+    while plain counts stay anchored to history."""
     database = generate_database(WorkloadSpec(num_items=40, seed=5))
     ids = list(database.item_ids)
     old_profile = [item.frequency for item in database.items]
@@ -107,10 +109,8 @@ def test_decay_beats_counts_under_drift(benchmark):
         for record in late:
             merged.record(offset + record.timestamp, record.item_id)
         truth = dict(zip(ids, new_profile))
-        count_est = CountEstimator(smoothing=0.5).estimate(merged, ids)
-        decay_est = DecayEstimator(
-            half_life=offset / 8, smoothing=0.5
-        ).estimate(merged, ids)
+        count_est = exact_profile(merged, ids)
+        decay_est = exact_profile(merged, ids, half_life=offset / 8)
         return (
             profile_l1_error(count_est, truth),
             profile_l1_error(decay_est, truth),

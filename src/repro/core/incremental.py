@@ -19,7 +19,7 @@ Single-edit helpers (pure functions, pre-existing API):
 each followed by an optional CDS re-polish (on by default) so the
 result is again a local optimum.
 
-Warm-start engine (the adaptive loop / sweep machinery build on these):
+Warm-start engine (the live service / sweep machinery build on these):
 
 * :func:`warm_start_refine` — one warm-started re-refinement with the
   regression guard: seed CDS from a previous grouping, compare the
@@ -529,7 +529,7 @@ class AllocationCache:
 
     Keys are workload fingerprints (:func:`database_fingerprint` /
     :func:`workload_fingerprint`).  An exact hit returns the stored
-    grouping — the adaptive loop reuses it outright when an epoch's
+    grouping — the live service reuses it outright when an epoch's
     believed profile recurs; sweep and replication machinery uses
     entries as warm-start seeds.  Hits and misses are tallied locally
     and on the ``incremental.cache_hits`` / ``cache_misses`` counters.

@@ -29,9 +29,10 @@ drain protocol, and sketch sizing guidance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -43,8 +44,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro import obs
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH, cost_under_profile
@@ -54,17 +53,16 @@ from repro.core.incremental import (
     AllocationCache,
     IncrementalAllocator,
 )
-from repro.core.item import DataItem
 from repro.exceptions import SimulationError
 from repro.service.clock import Clock, SystemClock
-from repro.simulation.adaptive import RotatingDrift
 from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
-from repro.workloads.estimator import profile_l1_error
+from repro.workloads.estimator import estimate_database, profile_l1_error
 from repro.workloads.sketch import CountMinSketch
 from repro.workloads.trace import (
     TraceRecord,
     decode_trace_lines,
+    drifting_stream,
     iter_trace_jsonl,
 )
 
@@ -239,9 +237,9 @@ class ServeEpochReport:
 
     The allocation-provenance fields (``allocation_mode`` /
     ``warm_moves`` / ``cache_hit`` / ``reallocated``) describe how the
-    program *serving* this epoch was obtained — the same semantics as
-    :class:`~repro.simulation.adaptive.EpochReport`, so an offline
-    adaptive oracle run on the same batches lines up report-for-report.
+    program *serving* this epoch was obtained;
+    :class:`~repro.simulation.adaptive.EpochReport` copies them
+    verbatim.
     """
 
     epoch: int
@@ -370,12 +368,9 @@ class BroadcastService:
             cache=cache if cache is not None else AllocationCache(),
         )
         if initial_database is None:
-            uniform = 1.0 / len(self._catalogue)
-            initial_database = BroadcastDatabase(
-                [
-                    DataItem(item_id, frequency=uniform, size=self._sizes[item_id])
-                    for item_id in self._catalogue
-                ]
+            initial_database = estimate_database(
+                dict.fromkeys(self._catalogue, 1.0 / len(self._catalogue)),
+                self._sizes,
             )
         self._believed = initial_database
         result = self._engine.reallocate(self._believed)
@@ -393,6 +388,9 @@ class BroadcastService:
         )
         self._total_requests = 0
         self._last_drift = 0.0
+        # The record whose timestamp closed the last epoch of a
+        # ``max_epochs``-bounded run; the next run serves it first.
+        self._held: Optional[TraceRecord] = None
 
     @property
     def catalogue(self) -> List[str]:
@@ -424,12 +422,19 @@ class BroadcastService:
         service object also keeps the full history in ``reports``).
         The source must yield time-ordered :class:`TraceRecord`s;
         epochs are windows of ``epoch_seconds`` stream time anchored at
-        the first record.
+        the first record: boundary ``n`` is ``anchor + n ·
+        epoch_seconds``, computed by multiplication so that no rounding
+        accumulates over a long uptime.  When ``max_epochs`` stops the
+        run, the record that triggered the last close is held and
+        served first by the next call (which anchors at it).
         """
         if max_epochs is not None and max_epochs < 1:
             raise SimulationError(
                 f"max_epochs must be >= 1, got {max_epochs}"
             )
+        if self._held is not None:
+            source = itertools.chain((self._held,), source)
+            self._held = None
         clock = self._clock
         heartbeat = obs.heartbeat(
             "serve", rates=("requests",), now=clock.now
@@ -437,6 +442,8 @@ class BroadcastService:
         first_report = len(self.reports)
         epoch_start: Optional[float] = None
         epoch_end = 0.0
+        anchor = 0.0
+        boundary = 0
         waits: List[float] = []
         stream_origin = 0.0
         wall_origin = clock.now()
@@ -458,19 +465,22 @@ class BroadcastService:
                     )
                 last_timestamp = record.timestamp
                 if epoch_start is None:
-                    epoch_start = record.timestamp
-                    epoch_end = epoch_start + self.epoch_seconds
+                    anchor = epoch_start = record.timestamp
+                    boundary = 1
+                    epoch_end = anchor + self.epoch_seconds
                     stream_origin = record.timestamp
                     wall_origin = clock.now()
                 while record.timestamp >= epoch_end:
                     self._close_epoch(epoch_start, epoch_end, waits)
                     waits = []
                     epoch_start = epoch_end
-                    epoch_end = epoch_start + self.epoch_seconds
+                    boundary += 1
+                    epoch_end = anchor + boundary * self.epoch_seconds
                     if (
                         max_epochs is not None
                         and len(self.reports) - first_report >= max_epochs
                     ):
+                        self._held = record
                         if heartbeat is not None:
                             heartbeat.flush(
                                 requests=self._total_requests,
@@ -589,23 +599,14 @@ class BroadcastService:
             self._last_drift = drift
             if drift == 0.0:
                 # Zero drift: the deterministic engine would reproduce
-                # the current program — reuse it (adaptive.py semantics).
+                # the current program — reuse it.
                 self._mode = "reused"
                 self._cache_hit = True
                 if registry.enabled:
                     registry.counter("incremental.cache_hits").inc()
                 self._engine.stats.cache_hits += 1
                 return
-            self._believed = BroadcastDatabase(
-                [
-                    DataItem(
-                        item_id,
-                        frequency=estimated_profile[item_id],
-                        size=self._sizes[item_id],
-                    )
-                    for item_id in self._catalogue
-                ]
-            )
+            self._believed = estimate_database(estimated_profile, self._sizes)
             result = self._engine.reallocate(self._believed)
             self._mode = result.mode
             self._warm_moves = result.warm_moves
@@ -623,51 +624,6 @@ class BroadcastService:
 def replay_source(path: Any) -> Iterator[TraceRecord]:
     """Stream a JSONL trace from disk (``repro serve --replay``)."""
     return iter_trace_jsonl(path)
-
-
-def drifting_stream(
-    database: BroadcastDatabase,
-    *,
-    epochs: int,
-    requests_per_epoch: int,
-    epoch_seconds: float = 60.0,
-    drift: Optional[RotatingDrift] = None,
-    seed: int = 0,
-) -> Iterator[TraceRecord]:
-    """A deterministic drifting request stream, epoch-aligned by design.
-
-    Epoch ``e`` occupies stream time ``[e·S, (e+1)·S)`` and contains
-    exactly ``requests_per_epoch`` requests at evenly spaced instants,
-    with item picks drawn from the epoch's drifted distribution (same
-    :class:`RotatingDrift` model and per-epoch seeds as
-    :func:`~repro.simulation.adaptive.run_adaptive_simulation`).  The
-    even spacing keeps each request inside its intended epoch — which
-    is what lets the end-to-end test line the service up against an
-    offline oracle batch-for-batch.
-    """
-    if epochs < 1:
-        raise SimulationError(f"epochs must be >= 1, got {epochs}")
-    if requests_per_epoch < 1:
-        raise SimulationError(
-            f"requests_per_epoch must be >= 1, got {requests_per_epoch}"
-        )
-    if drift is None:
-        drift = RotatingDrift(
-            [item.frequency for item in database.items], shift_per_epoch=1
-        )
-    ids = list(database.item_ids)
-    step = epoch_seconds / (requests_per_epoch + 1)
-    for epoch in range(epochs):
-        truth = drift.probabilities(epoch)
-        weights = np.asarray(truth, dtype=np.float64)
-        weights = weights / weights.sum()
-        rng = np.random.default_rng(seed + epoch)
-        picks = rng.choice(len(ids), size=requests_per_epoch, p=weights)
-        base = epoch * epoch_seconds
-        for k, pick in enumerate(picks):
-            yield TraceRecord(
-                timestamp=base + (k + 1) * step, item_id=ids[int(pick)]
-            )
 
 
 class SocketSource:

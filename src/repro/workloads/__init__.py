@@ -7,12 +7,7 @@ from repro.workloads.catalog import (
     class_of,
     per_class_summary,
 )
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayEstimator,
-    estimate_database,
-    profile_l1_error,
-)
+from repro.workloads.estimator import estimate_database, profile_l1_error
 from repro.workloads.generator import WorkloadSpec, generate_database
 from repro.workloads.queries import (
     Query,
@@ -20,11 +15,7 @@ from repro.workloads.queries import (
     generate_query_workload,
     item_frequencies_from_queries,
 )
-from repro.workloads.sketch import (
-    CountMinSketch,
-    SketchEstimator,
-    sketch_error_bound,
-)
+from repro.workloads.sketch import CountMinSketch, sketch_error_bound
 from repro.workloads.trace import (
     RequestTrace,
     TraceRecord,
@@ -64,10 +55,7 @@ __all__ = [
     "save_trace_jsonl",
     "load_trace_jsonl",
     "iter_trace_jsonl",
-    "CountEstimator",
-    "DecayEstimator",
     "CountMinSketch",
-    "SketchEstimator",
     "sketch_error_bound",
     "estimate_database",
     "profile_l1_error",

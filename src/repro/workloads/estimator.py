@@ -1,22 +1,24 @@
-"""Access-frequency estimation from request traces.
+"""From an estimated access profile to the database the allocator sees.
 
 Closes the loop of the paper's Figure 1: the broadcast program is
-generated from access frequencies, and these estimators produce the
-frequencies from what the server actually observes.
+generated from access frequencies, and the server estimates those
+frequencies from the requests it actually observes.  There is one
+estimator, :class:`~repro.workloads.sketch.CountMinSketch`: its
+:meth:`~repro.workloads.sketch.CountMinSketch.estimate_profile` turns
+(optionally time-decayed) counts into a smoothed profile, each item
+getting ``(count + α) / (Σ counts + α·N)``.  The live service feeds it
+one request at a time; an offline caller feeds a whole trace through
+``CountMinSketch(..., exact=True).extend(trace)``, whose exact counters
+make the profile the plain (or, with a half-life, exponentially
+decayed) relative counts.  This module supplies the two steps around
+it:
 
-Two estimators are provided:
-
-* :class:`CountEstimator` — maximum-likelihood relative counts with
-  additive (Laplace) smoothing.  Smoothing matters: the analytical model
-  requires every catalogued item to have a positive frequency, and a
-  finite trace may simply miss cold items.
-* :class:`DecayEstimator` — exponentially time-decayed counts.  Under
-  drifting popularity, recent requests carry more signal; the half-life
-  controls the memory.
-
-Both return frequencies aligned with a catalogue (an iterable of item
-ids) and normalised to 1, ready for
-:func:`estimate_database` to splice onto known item sizes.
+* :func:`estimate_database` splices a profile onto the catalogue's
+  known item sizes — the one place a profile becomes a believed
+  :class:`~repro.core.database.BroadcastDatabase`;
+* :func:`profile_l1_error` measures how far two profiles are apart
+  (the service's drift test, the adaptive driver's error against the
+  truth).
 
 **The zero-frequency edge case.**  An item the stream never requested
 is still in the catalogue, and with ``smoothing = 0`` its estimated
@@ -26,12 +28,10 @@ on construction (``InvalidItemError``), and even if a zero slipped
 through, Eq. (1)'s frequency-weighted average over a zero-frequency
 channel is undefined (``InvalidAllocationError`` in
 :mod:`repro.core.cost`).  :func:`estimate_database` therefore checks
-the estimate up front and raises a :class:`SimulationError` naming the
+the profile up front and raises a :class:`SimulationError` naming the
 unobserved items and the fix — the smoothing floor: any ``smoothing >
 0`` gives every catalogued item a positive pseudo-count, at the price
-of biasing hot items slightly down.  The streaming path
-(:meth:`repro.workloads.sketch.CountMinSketch.estimate_profile`) makes
-the same trade with the same parameter.  Behaviour is pinned by
+of biasing hot items slightly down.  Behaviour is pinned by
 ``tests/test_estimator.py::TestZeroFrequencyEdgeCases``.
 
 This module is an extension beyond the paper (DESIGN.md §6).
@@ -40,160 +40,54 @@ This module is an extension beyond the paper (DESIGN.md §6).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence
+from typing import Mapping
 
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
-from repro.workloads.trace import RequestTrace
 
-__all__ = [
-    "CountEstimator",
-    "DecayEstimator",
-    "estimate_database",
-    "profile_l1_error",
-]
-
-
-class CountEstimator:
-    """Smoothed maximum-likelihood frequency estimation.
-
-    Parameters
-    ----------
-    smoothing:
-        The additive pseudo-count per catalogue item (Laplace α).  With
-        ``α = 0`` an unseen item would get frequency 0, which the model
-        rejects; the default of 1 is the classical rule-of-succession
-        choice.
-    """
-
-    def __init__(self, *, smoothing: float = 1.0) -> None:
-        if smoothing < 0:
-            raise SimulationError(
-                f"smoothing must be >= 0, got {smoothing}"
-            )
-        self._smoothing = smoothing
-
-    def estimate(
-        self, trace: RequestTrace, catalogue: Sequence[str]
-    ) -> Dict[str, float]:
-        """Frequency per catalogue item id (sums to 1)."""
-        _check_catalogue(catalogue)
-        counts = trace.counts()
-        unknown = set(counts) - set(catalogue)
-        if unknown:
-            raise SimulationError(
-                f"trace references items outside the catalogue: "
-                f"{sorted(unknown)[:5]}"
-            )
-        alpha = self._smoothing
-        total = len(trace) + alpha * len(catalogue)
-        if total <= 0:
-            raise SimulationError(
-                "cannot estimate from an empty trace with zero smoothing"
-            )
-        return {
-            item_id: (counts.get(item_id, 0) + alpha) / total
-            for item_id in catalogue
-        }
-
-
-class DecayEstimator:
-    """Exponentially decayed counts for drifting popularity.
-
-    A request at time ``t`` observed at reference time ``T`` contributes
-    weight ``0.5 ** ((T - t) / half_life)``.  The reference time is the
-    trace's last timestamp, so the newest request always has weight 1.
-
-    Parameters
-    ----------
-    half_life:
-        Time for a request's weight to halve (same unit as trace
-        timestamps).  Must be positive.
-    smoothing:
-        Additive pseudo-weight per catalogue item, as in
-        :class:`CountEstimator`.
-    """
-
-    def __init__(self, half_life: float, *, smoothing: float = 1.0) -> None:
-        if not (half_life > 0 and math.isfinite(half_life)):
-            raise SimulationError(
-                f"half_life must be positive and finite, got {half_life}"
-            )
-        if smoothing < 0:
-            raise SimulationError(
-                f"smoothing must be >= 0, got {smoothing}"
-            )
-        self._half_life = half_life
-        self._smoothing = smoothing
-
-    def estimate(
-        self, trace: RequestTrace, catalogue: Sequence[str]
-    ) -> Dict[str, float]:
-        """Decay-weighted frequency per catalogue item id (sums to 1)."""
-        _check_catalogue(catalogue)
-        weights: Dict[str, float] = {item_id: 0.0 for item_id in catalogue}
-        if len(trace):
-            reference = trace[len(trace) - 1].timestamp
-            rate = math.log(2.0) / self._half_life
-            for record in trace:
-                if record.item_id not in weights:
-                    raise SimulationError(
-                        f"trace references item {record.item_id!r} outside "
-                        "the catalogue"
-                    )
-                weights[record.item_id] += math.exp(
-                    -rate * (reference - record.timestamp)
-                )
-        alpha = self._smoothing
-        total = math.fsum(weights.values()) + alpha * len(catalogue)
-        if total <= 0:
-            raise SimulationError(
-                "cannot estimate from an empty trace with zero smoothing"
-            )
-        return {
-            item_id: (weight + alpha) / total
-            for item_id, weight in weights.items()
-        }
+__all__ = ["estimate_database", "profile_l1_error"]
 
 
 def estimate_database(
-    trace: RequestTrace,
-    sizes: Mapping[str, float],
-    *,
-    estimator: "CountEstimator | DecayEstimator | None" = None,
+    profile: Mapping[str, float], sizes: Mapping[str, float]
 ) -> BroadcastDatabase:
-    """Build a broadcast database from a trace and known item sizes.
+    """Build the believed broadcast database from a profile and sizes.
 
     ``sizes`` is the catalogue: every item the server can broadcast,
-    with its size.  Frequencies come from the estimator (default: a
-    :class:`CountEstimator` with Laplace smoothing).
+    with its size, in the order the database lists its items.
+    ``profile`` is a smoothed frequency per catalogue item, as
+    :meth:`~repro.workloads.sketch.CountMinSketch.estimate_profile`
+    returns it; it must cover exactly the catalogue.
     """
     if not sizes:
         raise SimulationError("the catalogue of sizes cannot be empty")
-    if estimator is None:
-        estimator = CountEstimator()
-    catalogue = list(sizes)
-    frequencies = estimator.estimate(trace, catalogue)
-    unobserved = [
-        item_id for item_id in catalogue if frequencies[item_id] <= 0.0
-    ]
+    missing = [item_id for item_id in sizes if item_id not in profile]
+    if missing or len(profile) != len(sizes):
+        extra = sorted(set(profile) - set(sizes))
+        raise SimulationError(
+            "the profile does not cover the catalogue "
+            f"(missing from profile: {missing[:5]}, "
+            f"not in catalogue: {extra[:5]})"
+        )
+    unobserved = [item_id for item_id in sizes if profile[item_id] <= 0.0]
     if unobserved:
         # Surface the modelling problem here, with a fix, rather than
         # letting DataItem's InvalidItemError (or, later, the cost
         # model's InvalidAllocationError for a zero-frequency channel)
         # fire deep inside the allocation path.
         raise SimulationError(
-            f"{len(unobserved)} catalogue item(s) were never observed in "
-            f"the trace and got frequency 0 (first: {unobserved[:3]}); the "
-            "analytical model requires every item to have positive "
-            "frequency — use an estimator with smoothing > 0"
+            f"{len(unobserved)} catalogue item(s) were never observed and "
+            f"got frequency 0 (first: {unobserved[:3]}); the analytical "
+            "model requires every item to have positive frequency — "
+            "estimate the profile with smoothing > 0"
         )
-    items: List[DataItem] = [
-        DataItem(item_id, frequency=frequencies[item_id], size=sizes[item_id])
-        for item_id in catalogue
-    ]
-    return BroadcastDatabase(items)
+    return BroadcastDatabase(
+        [
+            DataItem(item_id, frequency=profile[item_id], size=size)
+            for item_id, size in sizes.items()
+        ]
+    )
 
 
 def profile_l1_error(
@@ -215,10 +109,3 @@ def profile_l1_error(
     return math.fsum(
         abs(estimated[item_id] - truth[item_id]) for item_id in truth
     )
-
-
-def _check_catalogue(catalogue: Sequence[str]) -> None:
-    if not catalogue:
-        raise SimulationError("catalogue cannot be empty")
-    if len(set(catalogue)) != len(catalogue):
-        raise SimulationError("catalogue contains duplicate item ids")

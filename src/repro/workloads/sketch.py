@@ -1,21 +1,19 @@
-"""Sketch-based streaming frequency estimation: O(width × depth) state.
+"""The one access-profile estimator: a count-min sketch, O(width × depth).
 
-The estimators in :mod:`repro.workloads.estimator` walk a complete
-:class:`~repro.workloads.trace.RequestTrace` — O(requests) memory, fine
-for an offline epoch but not for a broadcaster tracking millions of
-users.  This module provides the streaming path the live service
-(:mod:`repro.service`) ingests through:
-
-* :class:`CountMinSketch` — the Cormode–Muthukrishnan count-min sketch
-  with an optional exponential decay (half-life in stream time), an
-  optional *conservative update* rule that tightens over-estimates, and
-  an optional *exact-counter oracle* mode that additionally keeps the
-  true per-item decayed counts (O(items) state — for tests, benchmarks
-  and error accounting, never for production scale);
-* :class:`SketchEstimator` — the ``estimate(trace, catalogue)`` adapter
-  making a sketch a drop-in for :class:`CountEstimator` /
-  :class:`DecayEstimator` in
-  :func:`repro.workloads.estimator.estimate_database`.
+The live service (:mod:`repro.service`) ingests every request through
+it, and offline callers (benchmarks, tests) feed a whole
+:class:`~repro.workloads.trace.RequestTrace` through
+:meth:`CountMinSketch.extend`.  :class:`CountMinSketch` is the
+Cormode–Muthukrishnan count-min sketch with an optional exponential
+decay (half-life in stream time), an optional *conservative update*
+rule that tightens over-estimates, and an optional *exact-counter
+oracle* mode that additionally keeps the true per-item decayed counts
+(O(items) state — for tests, benchmarks, offline traces and error
+accounting, never for production scale).  In exact mode
+:meth:`CountMinSketch.estimate_profile` is the classical smoothed
+estimate: plain relative counts without a half-life, exponentially
+decayed counts with one.  :func:`repro.workloads.estimator.estimate_database`
+turns its profile into the database the allocator sees.
 
 Guarantees (tested property-style in ``tests/test_sketch.py``):
 
@@ -26,10 +24,11 @@ Guarantees (tested property-style in ``tests/test_sketch.py``):
   item exceeds ``(e / w) · total`` with probability at most ``e^-d``
   over the hash choice (the classical count-min bound, with ``total``
   the decayed stream mass);
-* on a collision-free stream the decayed estimate matches
-  :class:`~repro.workloads.estimator.DecayEstimator` up to floating
-  point (same ``0.5 ** (Δt / half_life)`` weighting, same smoothing
-  and normalisation in :meth:`CountMinSketch.estimate_profile`).
+* on a collision-free stream the decayed estimate matches a direct
+  decayed count of the trace up to floating point (weight
+  ``0.5 ** (Δt / half_life)`` relative to the newest request, same
+  smoothing and normalisation as :meth:`CountMinSketch.estimate_profile`;
+  the reference lives in ``tests/``).
 
 Decay is implemented with the standard *inflation* trick so an update
 stays O(depth): instead of decaying every counter at every tick, an
@@ -53,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.exceptions import SimulationError
 from repro.workloads.trace import RequestTrace
 
-__all__ = ["CountMinSketch", "SketchEstimator", "sketch_error_bound"]
+__all__ = ["CountMinSketch", "sketch_error_bound"]
 
 #: Serialization schema identifier for :meth:`CountMinSketch.to_dict`.
 SKETCH_SCHEMA = "repro.sketch/v1"
@@ -300,7 +299,7 @@ class CountMinSketch:
         The minimum over the item's ``depth`` counters — an upper bound
         on the true decayed count, regardless of oracle mode.  The
         reference time defaults to the newest arrival (so the newest
-        request has weight 1, matching :class:`DecayEstimator`).
+        request has weight 1).
         """
         rows = self._rows
         raw = min(
@@ -352,18 +351,27 @@ class CountMinSketch:
     ) -> Dict[str, float]:
         """Smoothed, normalised frequency per catalogue item id.
 
-        Mirrors the :class:`CountEstimator` / :class:`DecayEstimator`
-        contract: each item gets ``(count + smoothing) / (Σ counts +
-        smoothing · |catalogue|)``, summing to 1 over the catalogue.
-        With ``smoothing = 0`` an item the stream never touched (and
-        that no collision inflated) gets frequency 0 — which the
-        allocation model rejects; see the smoothing notes in
-        :mod:`repro.workloads.estimator`.
+        Each item gets ``(count + smoothing) / (Σ counts + smoothing ·
+        |catalogue|)``, summing to 1 over the catalogue.  With
+        ``smoothing = 0`` an item the stream never touched (and that no
+        collision inflated) gets frequency 0 — which the allocation
+        model rejects; see the smoothing notes in
+        :mod:`repro.workloads.estimator`.  In exact mode a counted item
+        outside the catalogue is an error (its mass would silently
+        leave the normalisation); a plain sketch cannot tell.
         """
         if not catalogue:
             raise SimulationError("catalogue cannot be empty")
-        if len(set(catalogue)) != len(catalogue):
+        known = set(catalogue)
+        if len(known) != len(catalogue):
             raise SimulationError("catalogue contains duplicate item ids")
+        if self._exact_counts is not None:
+            foreign = sorted(set(self._exact_counts) - known)
+            if foreign:
+                raise SimulationError(
+                    f"the stream references items outside the catalogue: "
+                    f"{foreign[:5]}"
+                )
         if smoothing < 0:
             raise SimulationError(
                 f"smoothing must be >= 0, got {smoothing}"
@@ -526,57 +534,3 @@ class CountMinSketch:
             f"CountMinSketch({self.width}x{self.depth}{decay}, "
             f"updates={self._updates})"
         )
-
-
-class SketchEstimator:
-    """``estimate(trace, catalogue)`` adapter over a fresh count-min sketch.
-
-    A drop-in for :class:`~repro.workloads.estimator.CountEstimator` /
-    :class:`~repro.workloads.estimator.DecayEstimator` in
-    :func:`~repro.workloads.estimator.estimate_database`: each call
-    feeds the trace into a new sketch (so repeated calls are
-    independent, like the other estimators) and returns the smoothed,
-    normalised profile.  ``half_life=None`` approximates plain counts;
-    a finite half-life approximates the decay estimator — both within
-    the count-min over-estimate bound.
-    """
-
-    def __init__(
-        self,
-        width: int = 1024,
-        depth: int = 4,
-        *,
-        half_life: Optional[float] = None,
-        conservative: bool = False,
-        seed: int = 0,
-        smoothing: float = 1.0,
-    ) -> None:
-        if smoothing < 0:
-            raise SimulationError(
-                f"smoothing must be >= 0, got {smoothing}"
-            )
-        self._width = width
-        self._depth = depth
-        self._half_life = half_life
-        self._conservative = conservative
-        self._seed = seed
-        self._smoothing = smoothing
-
-    def make_sketch(self, *, exact: bool = False) -> CountMinSketch:
-        """A fresh sketch with this estimator's parameters."""
-        return CountMinSketch(
-            self._width,
-            self._depth,
-            half_life=self._half_life,
-            conservative=self._conservative,
-            seed=self._seed,
-            exact=exact,
-        )
-
-    def estimate(
-        self, trace: RequestTrace, catalogue: Sequence[str]
-    ) -> Dict[str, float]:
-        """Frequency per catalogue item id (sums to 1)."""
-        sketch = self.make_sketch()
-        sketch.extend(trace)
-        return sketch.estimate_profile(catalogue, smoothing=self._smoothing)

@@ -38,7 +38,9 @@ from repro.exceptions import SimulationError
 __all__ = [
     "TraceRecord",
     "RequestTrace",
+    "RotatingDrift",
     "synthesize_trace",
+    "drifting_stream",
     "save_trace_jsonl",
     "load_trace_jsonl",
     "iter_trace_jsonl",
@@ -181,6 +183,80 @@ def synthesize_trace(
         clock += float(gap)
         trace.record(clock, ids[int(pick)])
     return trace
+
+
+class RotatingDrift:
+    """Popularity drift by rank rotation.
+
+    Each epoch, the popularity vector rotates by ``shift_per_epoch``
+    positions over the catalogue: yesterday's hot items cool down, cold
+    items heat up — a simple but harsh drift model (a rotation by N/2
+    eventually inverts the profile).
+    """
+
+    def __init__(
+        self, base_frequencies: Sequence[float], shift_per_epoch: int = 1
+    ) -> None:
+        if shift_per_epoch < 0:
+            raise SimulationError(
+                f"shift_per_epoch must be >= 0, got {shift_per_epoch}"
+            )
+        self._base = np.asarray(base_frequencies, dtype=np.float64)
+        if self._base.ndim != 1 or len(self._base) == 0:
+            raise SimulationError("base_frequencies must be a non-empty vector")
+        self._shift = shift_per_epoch
+
+    def probabilities(self, epoch: int) -> np.ndarray:
+        """The true request distribution during ``epoch`` (0-based)."""
+        if epoch < 0:
+            raise SimulationError(f"epoch must be >= 0, got {epoch}")
+        return np.roll(self._base, epoch * self._shift)
+
+
+def drifting_stream(
+    database: BroadcastDatabase,
+    *,
+    epochs: int,
+    requests_per_epoch: int,
+    epoch_seconds: float = 60.0,
+    drift: Optional[RotatingDrift] = None,
+    seed: int = 0,
+) -> Iterator[TraceRecord]:
+    """A deterministic drifting request stream, epoch-aligned by design.
+
+    Epoch ``e`` occupies stream time ``[e·S, (e+1)·S)`` and contains
+    exactly ``requests_per_epoch`` requests at evenly spaced instants,
+    with item picks drawn from the epoch's drifted distribution
+    (``drift``, default one rank per epoch) and seeded with
+    ``seed + e``.  Epoch ``e``'s first request sits at ``e·S + step``:
+    exactly where a service anchored at the first request, with epoch
+    length ``S``, computes its ``e``-th boundary — so every epoch of a
+    :class:`~repro.service.serve.BroadcastService` run over this stream
+    holds exactly ``requests_per_epoch`` requests.
+    """
+    if epochs < 1:
+        raise SimulationError(f"epochs must be >= 1, got {epochs}")
+    if requests_per_epoch < 1:
+        raise SimulationError(
+            f"requests_per_epoch must be >= 1, got {requests_per_epoch}"
+        )
+    if drift is None:
+        drift = RotatingDrift(
+            [item.frequency for item in database.items], shift_per_epoch=1
+        )
+    ids = list(database.item_ids)
+    step = epoch_seconds / (requests_per_epoch + 1)
+    for epoch in range(epochs):
+        truth = drift.probabilities(epoch)
+        weights = np.asarray(truth, dtype=np.float64)
+        weights = weights / weights.sum()
+        rng = np.random.default_rng(seed + epoch)
+        picks = rng.choice(len(ids), size=requests_per_epoch, p=weights)
+        base = epoch * epoch_seconds
+        for k, pick in enumerate(picks):
+            yield TraceRecord(
+                timestamp=base + (k + 1) * step, item_id=ids[int(pick)]
+            )
 
 
 def save_trace_jsonl(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import SimulationError
 from repro.simulation.adaptive import (
     EpochReport,
@@ -56,7 +55,6 @@ class TestAdaptiveSimulation:
     def reports(self, drift_db):
         return run_adaptive_simulation(
             drift_db,
-            DRPCDSAllocator(),
             num_channels=4,
             epochs=5,
             requests_per_epoch=1500,
@@ -97,10 +95,10 @@ class TestAdaptiveSimulation:
             seed=9,
         )
         adaptive = run_adaptive_simulation(
-            drift_db, DRPCDSAllocator(), adapt=True, **common
+            drift_db, adapt=True, **common
         )
         static = run_adaptive_simulation(
-            drift_db, DRPCDSAllocator(), adapt=False, **common
+            drift_db, adapt=False, **common
         )
         # Same requests in epoch 0 (identical programs and seeds).
         assert adaptive[0].measured.mean == pytest.approx(
@@ -117,7 +115,6 @@ class TestAdaptiveSimulation:
         )
         static = run_adaptive_simulation(
             drift_db,
-            DRPCDSAllocator(),
             num_channels=4,
             epochs=4,
             requests_per_epoch=500,
@@ -130,10 +127,48 @@ class TestAdaptiveSimulation:
 
     def test_validation(self, drift_db):
         with pytest.raises(SimulationError):
-            run_adaptive_simulation(
-                drift_db, DRPCDSAllocator(), 4, epochs=0
-            )
+            run_adaptive_simulation(drift_db, 4, epochs=0)
         with pytest.raises(SimulationError):
-            run_adaptive_simulation(
-                drift_db, DRPCDSAllocator(), 4, requests_per_epoch=0
+            run_adaptive_simulation(drift_db, 4, requests_per_epoch=0)
+
+
+class TestDrivesTheService:
+    def test_reports_mirror_a_direct_service_run(self, drift_db):
+        """The driver adds only the truth-scored fields: measurements
+        and provenance are the service's own, epoch for epoch."""
+        from repro.service import BroadcastService, drifting_stream
+
+        drift = RotatingDrift(
+            [item.frequency for item in drift_db.items], shift_per_epoch=6
+        )
+        reports = run_adaptive_simulation(
+            drift_db,
+            4,
+            epochs=5,
+            requests_per_epoch=400,
+            drift=drift,
+            seed=3,
+        )
+        service = BroadcastService(
+            {item.item_id: item.size for item in drift_db.items},
+            4,
+            epoch_seconds=400.0,
+            initial_database=drift_db,
+        )
+        served = service.run(
+            drifting_stream(
+                drift_db,
+                epochs=5,
+                requests_per_epoch=400,
+                epoch_seconds=400.0,
+                drift=drift,
+                seed=3,
             )
+        )
+        assert len(reports) == len(served) == 5
+        for report, direct in zip(reports, served):
+            assert report.measured == direct.measured
+            assert report.allocation_mode == direct.allocation_mode
+            assert report.warm_moves == direct.warm_moves
+            assert report.cache_hit == direct.cache_hit
+            assert report.reallocated == direct.reallocated

@@ -19,6 +19,7 @@ from repro.simulation.simulator import run_broadcast_simulation
 from repro.workloads.catalog import build_catalogue
 from repro.workloads.estimator import estimate_database
 from repro.workloads.generator import WorkloadSpec, generate_database
+from repro.workloads.sketch import CountMinSketch
 from repro.workloads.queries import generate_query_workload
 from repro.workloads.trace import synthesize_trace
 
@@ -31,7 +32,9 @@ class TestEstimatedProfileDownstream:
         truth = generate_database(WorkloadSpec(num_items=40, seed=31))
         trace = synthesize_trace(truth, 20000, seed=1)
         sizes = {item.item_id: item.size for item in truth.items}
-        return estimate_database(trace, sizes)
+        sketch = CountMinSketch(exact=True)
+        sketch.extend(trace)
+        return estimate_database(sketch.estimate_profile(list(sizes)), sizes)
 
     def test_simulation_on_estimated_program(self, estimated_db):
         allocation = DRPCDSAllocator().allocate(estimated_db, 4).allocation

@@ -1,4 +1,10 @@
-"""Unit tests for repro.workloads.estimator."""
+"""Unit tests for profile estimation (repro.workloads.estimator).
+
+Profiles come from the one estimator, the count-min sketch: offline
+traces go through ``CountMinSketch(exact=True)``, whose exact counters
+make ``estimate_profile`` the plain (no half-life) or exponentially
+decayed (with one) smoothed relative counts.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +12,8 @@ import pytest
 
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
-from repro.workloads.estimator import (
-    CountEstimator,
-    DecayEstimator,
-    estimate_database,
-    profile_l1_error,
-)
+from repro.workloads.estimator import estimate_database, profile_l1_error
+from repro.workloads.sketch import CountMinSketch
 from repro.workloads.trace import RequestTrace, synthesize_trace
 
 
@@ -22,101 +24,106 @@ def make_trace(pairs):
     return trace
 
 
+def exact_profile(trace, catalogue, *, smoothing=1.0, half_life=None):
+    sketch = CountMinSketch(exact=True, half_life=half_life)
+    sketch.extend(trace)
+    return sketch.estimate_profile(catalogue, smoothing=smoothing)
+
+
 class TestCountEstimator:
+    """Plain relative counts: the exact sketch without a half-life."""
+
     def test_unsmoothed_relative_counts(self):
         trace = make_trace([(0, "a"), (1, "a"), (2, "b"), (3, "c")])
-        estimate = CountEstimator(smoothing=0.0).estimate(
-            trace, ["a", "b", "c"]
-        )
+        estimate = exact_profile(trace, ["a", "b", "c"], smoothing=0.0)
         assert estimate == pytest.approx({"a": 0.5, "b": 0.25, "c": 0.25})
 
     def test_smoothing_gives_unseen_items_mass(self):
         trace = make_trace([(0, "a")])
-        estimate = CountEstimator(smoothing=1.0).estimate(trace, ["a", "b"])
+        estimate = exact_profile(trace, ["a", "b"], smoothing=1.0)
         assert estimate["b"] > 0
         assert estimate["a"] > estimate["b"]
         assert sum(estimate.values()) == pytest.approx(1.0)
 
     def test_empty_trace_with_smoothing_is_uniform(self):
-        estimate = CountEstimator().estimate(RequestTrace(), ["a", "b"])
+        estimate = exact_profile(RequestTrace(), ["a", "b"])
         assert estimate == pytest.approx({"a": 0.5, "b": 0.5})
 
     def test_empty_trace_without_smoothing_rejected(self):
         with pytest.raises(SimulationError):
-            CountEstimator(smoothing=0.0).estimate(RequestTrace(), ["a"])
+            exact_profile(RequestTrace(), ["a"], smoothing=0.0)
 
     def test_foreign_items_rejected(self):
         trace = make_trace([(0, "zz")])
         with pytest.raises(SimulationError, match="outside the catalogue"):
-            CountEstimator().estimate(trace, ["a"])
+            exact_profile(trace, ["a"])
 
     def test_negative_smoothing_rejected(self):
         with pytest.raises(SimulationError):
-            CountEstimator(smoothing=-1.0)
+            exact_profile(RequestTrace(), ["a"], smoothing=-1.0)
 
     def test_duplicate_catalogue_rejected(self):
         with pytest.raises(SimulationError, match="duplicate"):
-            CountEstimator().estimate(RequestTrace(), ["a", "a"])
+            exact_profile(RequestTrace(), ["a", "a"])
 
     def test_recovers_true_profile_from_large_trace(self, medium_db):
         trace = synthesize_trace(medium_db, 60000, seed=0)
-        estimate = CountEstimator(smoothing=0.5).estimate(
-            trace, list(medium_db.item_ids)
+        estimate = exact_profile(
+            trace, list(medium_db.item_ids), smoothing=0.5
         )
         truth = {item.item_id: item.frequency for item in medium_db}
         assert profile_l1_error(estimate, truth) < 0.05
 
 
 class TestDecayEstimator:
+    """Exponentially decayed counts: the exact sketch with a half-life."""
+
     def test_recent_requests_dominate(self):
         # Item "old" was popular long ago; "new" recently.
         trace = make_trace(
             [(0, "old"), (1, "old"), (2, "old"), (100, "new"), (101, "new")]
         )
-        estimate = DecayEstimator(half_life=5.0, smoothing=0.0).estimate(
-            trace, ["old", "new"]
+        estimate = exact_profile(
+            trace, ["old", "new"], half_life=5.0, smoothing=0.0
         )
         assert estimate["new"] > 0.9
 
     def test_long_half_life_approaches_plain_counts(self):
         trace = make_trace([(0, "a"), (1, "a"), (2, "b")])
-        decayed = DecayEstimator(half_life=1e9, smoothing=0.0).estimate(
-            trace, ["a", "b"]
+        decayed = exact_profile(
+            trace, ["a", "b"], half_life=1e9, smoothing=0.0
         )
-        plain = CountEstimator(smoothing=0.0).estimate(trace, ["a", "b"])
+        plain = exact_profile(trace, ["a", "b"], smoothing=0.0)
         assert decayed["a"] == pytest.approx(plain["a"], rel=1e-6)
 
     def test_normalised(self):
         trace = make_trace([(0, "a"), (10, "b"), (20, "a")])
-        estimate = DecayEstimator(half_life=7.0).estimate(
-            trace, ["a", "b", "c"]
-        )
+        estimate = exact_profile(trace, ["a", "b", "c"], half_life=7.0)
         assert sum(estimate.values()) == pytest.approx(1.0)
 
     def test_empty_trace_with_smoothing_is_uniform(self):
-        estimate = DecayEstimator(half_life=1.0).estimate(
-            RequestTrace(), ["a", "b"]
-        )
+        estimate = exact_profile(RequestTrace(), ["a", "b"], half_life=1.0)
         assert estimate == pytest.approx({"a": 0.5, "b": 0.5})
 
     @pytest.mark.parametrize("half_life", [0.0, -1.0, float("inf")])
     def test_bad_half_life(self, half_life):
         with pytest.raises(SimulationError):
-            DecayEstimator(half_life=half_life)
+            CountMinSketch(exact=True, half_life=half_life)
 
     def test_foreign_items_rejected(self):
         trace = make_trace([(0, "zz")])
         with pytest.raises(SimulationError, match="outside"):
-            DecayEstimator(half_life=1.0).estimate(trace, ["a"])
+            exact_profile(trace, ["a"], half_life=1.0)
 
 
 class TestEstimateDatabase:
     def test_builds_normalised_database(self, medium_db):
         trace = synthesize_trace(medium_db, 5000, seed=1)
         sizes = {item.item_id: item.size for item in medium_db}
-        estimated = estimate_database(trace, sizes)
+        estimated = estimate_database(exact_profile(trace, list(sizes)), sizes)
         assert len(estimated) == len(medium_db)
         assert estimated.is_normalized
+        assert list(estimated.item_ids) == list(sizes)
         for item in estimated:
             assert item.size == sizes[item.item_id]
 
@@ -124,13 +131,20 @@ class TestEstimateDatabase:
         trace = synthesize_trace(medium_db, 2000, seed=1)
         sizes = {item.item_id: item.size for item in medium_db}
         estimated = estimate_database(
-            trace, sizes, estimator=DecayEstimator(half_life=100.0)
+            exact_profile(trace, list(sizes), half_life=100.0), sizes
         )
         assert estimated.is_normalized
 
     def test_empty_catalogue_rejected(self):
         with pytest.raises(SimulationError):
-            estimate_database(RequestTrace(), {})
+            estimate_database({}, {})
+
+    def test_profile_must_cover_the_catalogue(self):
+        sizes = {"a": 1.0, "b": 2.0}
+        with pytest.raises(SimulationError, match=r"missing from profile: \['b'\]"):
+            estimate_database({"a": 1.0}, sizes)
+        with pytest.raises(SimulationError, match=r"not in catalogue: \['c'\]"):
+            estimate_database({"a": 0.5, "b": 0.25, "c": 0.25}, sizes)
 
     def test_allocation_quality_from_estimated_profile(self, medium_db):
         """An allocation built from a large trace is nearly as good as
@@ -140,7 +154,7 @@ class TestEstimateDatabase:
 
         trace = synthesize_trace(medium_db, 50000, seed=3)
         sizes = {item.item_id: item.size for item in medium_db}
-        estimated = estimate_database(trace, sizes)
+        estimated = estimate_database(exact_profile(trace, list(sizes)), sizes)
         allocator = DRPCDSAllocator()
         from_truth = allocator.allocate(medium_db, 5).cost
         # Evaluate the estimated-profile allocation under the TRUE
@@ -190,16 +204,17 @@ class TestZeroFrequencyEdgeCases:
     frequency 0, which the analytical model rejects — at item
     construction (``InvalidItemError``) and again at cost evaluation
     (``InvalidAllocationError`` for a zero-frequency channel).
-    ``estimate_database`` now fails fast with an actionable message;
-    any ``smoothing > 0`` floors every item at a positive frequency.
+    ``estimate_database`` fails fast with an actionable message, on the
+    offline path and at the live service's epoch close alike; any
+    ``smoothing > 0`` floors every item at a positive frequency.
     """
 
     def test_unsmoothed_unseen_item_estimates_to_exact_zero(self):
         trace = make_trace([(0, "a"), (1, "a")])
-        estimate = CountEstimator(smoothing=0.0).estimate(trace, ["a", "b"])
+        estimate = exact_profile(trace, ["a", "b"], smoothing=0.0)
         assert estimate["b"] == 0.0
-        decayed = DecayEstimator(half_life=5.0, smoothing=0.0).estimate(
-            trace, ["a", "b"]
+        decayed = exact_profile(
+            trace, ["a", "b"], half_life=5.0, smoothing=0.0
         )
         assert decayed["b"] == 0.0
 
@@ -208,7 +223,7 @@ class TestZeroFrequencyEdgeCases:
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         with pytest.raises(SimulationError, match="smoothing > 0"):
             estimate_database(
-                trace, sizes, estimator=CountEstimator(smoothing=0.0)
+                exact_profile(trace, list(sizes), smoothing=0.0), sizes
             )
 
     def test_error_names_the_unobserved_items(self):
@@ -216,8 +231,30 @@ class TestZeroFrequencyEdgeCases:
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         with pytest.raises(SimulationError, match=r"\['b', 'c'\]"):
             estimate_database(
-                trace, sizes, estimator=CountEstimator(smoothing=0.0)
+                exact_profile(trace, list(sizes), smoothing=0.0), sizes
             )
+
+    def test_serve_with_zero_smoothing_fails_with_guidance(self):
+        """The live service's epoch close builds its believed database
+        through ``estimate_database`` too, so an unrequested item fails
+        with the same guidance instead of a bare ``InvalidItemError``."""
+        from repro.service import BroadcastService
+        from repro.workloads.trace import TraceRecord
+
+        service = BroadcastService(
+            {"a": 1.0, "b": 2.0, "c": 3.0},
+            2,
+            epoch_seconds=10.0,
+            smoothing=0.0,
+        )
+        records = [
+            TraceRecord(timestamp=t, item_id=item)
+            for t, item in [(0.0, "a"), (1.0, "a"), (2.0, "b"), (11.0, "a")]
+        ]
+        with pytest.raises(
+            SimulationError, match=r"\['c'\].*smoothing > 0"
+        ):
+            service.run(records)
 
     def test_zero_frequency_item_rejected_at_construction(self):
         from repro.exceptions import InvalidItemError
@@ -245,7 +282,7 @@ class TestZeroFrequencyEdgeCases:
         sizes = {"a": 1.0, "b": 2.0, "c": 3.0}
         for smoothing in (1e-9, 0.5, 1.0):
             estimated = estimate_database(
-                trace, sizes, estimator=CountEstimator(smoothing=smoothing)
+                exact_profile(trace, list(sizes), smoothing=smoothing), sizes
             )
             assert min(item.frequency for item in estimated) > 0.0
             assert estimated.is_normalized

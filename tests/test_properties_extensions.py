@@ -29,7 +29,7 @@ from repro.io import (
     database_to_json,
 )
 from repro.simulation.indexing import IndexedChannel
-from repro.workloads.estimator import CountEstimator, DecayEstimator
+from repro.workloads.sketch import CountMinSketch
 from repro.workloads.trace import RequestTrace
 
 _positive = st.floats(
@@ -197,11 +197,10 @@ class TestEstimatorProperties:
         for timestamp, item in sorted(raw_records):
             trace.record(timestamp, item)
         catalogue = ["a", "b", "c"]
-        for estimator in (
-            CountEstimator(smoothing=smoothing),
-            DecayEstimator(half_life=10.0, smoothing=smoothing),
-        ):
-            estimate = estimator.estimate(trace, catalogue)
+        for half_life in (None, 10.0):
+            sketch = CountMinSketch(exact=True, half_life=half_life)
+            sketch.extend(trace)
+            estimate = sketch.estimate_profile(catalogue, smoothing=smoothing)
             assert set(estimate) == set(catalogue)
             assert all(value > 0 for value in estimate.values())
             assert math.fsum(estimate.values()) == pytest.approx(1.0)

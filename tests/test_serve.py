@@ -7,7 +7,7 @@ module is deterministic and wall-clock-free.
 The three headline assertions (satellite 3):
 
 1. epoch costs (and allocation provenance) match an offline
-   adaptive-loop oracle run on the same epoch batches;
+   exact-counter oracle run on the same epoch batches;
 2. a handover never leaves a torn program — the allocation swap is
    observed only at major-cycle boundaries of the outgoing program;
 3. the ``serve.*`` cache/warm counters match the ``ServeEpochReport``
@@ -90,7 +90,7 @@ def make_service(sizes, db, *, sketch, **kwargs):
 
 
 def offline_oracle(db, sizes, records, *, epochs):
-    """The exact-counter offline adaptive loop on the same epoch batches.
+    """An exact-counter offline epoch loop on the same epoch batches.
 
     Replicates the service's boundary policy — exact decayed counts,
     smoothed profile over the catalogue, zero-drift reuse, otherwise a
@@ -442,6 +442,46 @@ class TestSourcesAndValidation:
         reports = service.run(iter(records), max_epochs=2)
         assert len(reports) == 2
         assert service.total_requests < len(records)
+
+    def test_resumed_run_serves_every_record(self, db, sizes):
+        """The record that triggers the ``max_epochs``-th close is held
+        and served first by the next run, not dropped."""
+        records = make_stream(db, epochs=4, requests_per_epoch=50)
+        source = iter(records)
+        service = make_service(
+            sizes, db, sketch=CountMinSketch(64, 2, half_life=HALF_LIFE)
+        )
+        first = service.run(source, max_epochs=2)
+        assert len(first) == 2
+        service.run(source)
+        assert service.total_requests == len(records)
+        assert sum(r.requests for r in service.reports) == len(records)
+        assert [r.requests for r in service.reports] == [50] * 4
+
+    @pytest.mark.parametrize(
+        "epoch_seconds, requests_per_epoch, epochs",
+        [(600.0, 1000, 40), (3000.0, 3000, 6)],
+    )
+    def test_epoch_grid_does_not_accumulate_rounding(
+        self, db, sizes, epoch_seconds, requests_per_epoch, epochs
+    ):
+        """Boundary n is anchor + n·S: every epoch of a drifting stream
+        holds exactly its own requests, however many epochs pass."""
+        records = drifting_stream(
+            db,
+            epochs=epochs,
+            requests_per_epoch=requests_per_epoch,
+            epoch_seconds=epoch_seconds,
+            seed=1,
+        )
+        service = make_service(
+            sizes,
+            db,
+            sketch=CountMinSketch(64, 2, half_life=2.0 * epoch_seconds),
+            epoch_seconds=epoch_seconds,
+        )
+        reports = service.run(records)
+        assert [r.requests for r in reports] == [requests_per_epoch] * epochs
 
     def test_run_twice_accumulates_history(self, db, sizes):
         records = make_stream(db, epochs=4)

@@ -8,8 +8,9 @@ The load-bearing guarantees (ISSUE 10 satellite 2):
   ``ε·total = (e/width)·total`` with failure probability ``e^-depth``
   per item — checked empirically against exact counts on seeded Zipf
   streams;
-* with decay enabled, profiles agree with ``DecayEstimator`` on
-  identical streams (same half-life, same smoothing) up to float noise;
+* with decay enabled, profiles agree with an independent decayed count
+  of the same stream (``tests/profile_reference.py``: same half-life,
+  same smoothing) up to float noise;
 * ``merge`` of two shard sketches equals one sketch over the
   concatenated stream, and ``to_dict``/``from_dict`` round-trips.
 """
@@ -24,13 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.workloads.estimator import DecayEstimator
-from repro.workloads.sketch import (
-    CountMinSketch,
-    SketchEstimator,
-    sketch_error_bound,
-)
+from repro.workloads.sketch import CountMinSketch, sketch_error_bound
 from repro.workloads.trace import RequestTrace, TraceRecord
+from tests.profile_reference import decayed_profile
 
 common_settings = settings(
     max_examples=40,
@@ -188,7 +185,7 @@ class TestDecayParity:
     def test_wide_sketch_profile_matches_decay_estimator(
         self, stream, half_life
     ):
-        """Collision-free (wide) sketch == DecayEstimator, same stream."""
+        """Collision-free (wide) sketch == direct decayed counts."""
         ids, records = stream
         sketch = CountMinSketch(8192, 4, half_life=half_life)
         trace = RequestTrace()
@@ -196,31 +193,13 @@ class TestDecayParity:
             sketch.add(record.item_id, timestamp=record.timestamp)
             trace.append(record)
         sketch_profile = sketch.estimate_profile(ids, smoothing=1.0)
-        decay_profile = DecayEstimator(
-            half_life=half_life, smoothing=1.0
-        ).estimate(trace, ids)
+        decay_profile = decayed_profile(
+            trace, ids, half_life=half_life, smoothing=1.0
+        )
         for item_id in ids:
             assert sketch_profile[item_id] == pytest.approx(
                 decay_profile[item_id], abs=1e-9
             )
-
-    def test_estimator_adapter_is_drop_in(self):
-        from repro.workloads.estimator import estimate_database
-        from repro.workloads.generator import WorkloadSpec, generate_database
-        from repro.workloads.trace import synthesize_trace
-
-        db = generate_database(WorkloadSpec(num_items=30, seed=2))
-        trace = synthesize_trace(db, 3000, seed=4)
-        sizes = {item.item_id: item.size for item in db.items}
-        via_sketch = estimate_database(
-            trace, sizes, estimator=SketchEstimator(4096, 4, half_life=50.0)
-        )
-        via_decay = estimate_database(
-            trace, sizes, estimator=DecayEstimator(half_life=50.0)
-        )
-        for a, b in zip(via_sketch.items, via_decay.items):
-            assert a.item_id == b.item_id
-            assert a.frequency == pytest.approx(b.frequency, abs=1e-9)
 
     def test_rescale_preserves_estimates(self):
         """A stream long enough to trigger rescaling stays consistent."""
