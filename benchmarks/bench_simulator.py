@@ -1,8 +1,8 @@
-"""Substrate benchmark: discrete-event simulator throughput + validation.
+"""Substrate benchmark: simulator throughput + validation.
 
-Not a paper figure — this measures the event kernel's request
-throughput and re-validates the analytical model (Eq. 2) against
-measured waiting times under benchmark conditions.
+Not a paper figure — this measures the simulator's request throughput
+and re-validates the analytical model (Eq. 2) against measured waiting
+times under benchmark conditions.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from benchmarks.conftest import save_report
 from repro.analysis.tables import format_table
 from repro.core.scheduler import make_allocator
 from repro.simulation.simulator import run_broadcast_simulation
+from repro.verify import reference
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,9 @@ def test_simulator_throughput(benchmark, allocation):
         rounds=3,
         iterations=1,
     )
-    assert report.events_processed == 40000
+    assert report == reference.run_broadcast_simulation(
+        allocation, num_requests=20000, seed=0
+    )
 
 
 def test_model_validation_report(benchmark, allocation):

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = subparsers.add_parser(
-        "simulate", help="validate an allocation with the event simulator"
+        "simulate", help="validate an allocation against simulated waiting times"
     )
     simulate.add_argument("--items", type=int, default=60)
     simulate.add_argument("--channels", type=int, default=5)
@@ -315,15 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--requests", type=int, default=20000)
     simulate.add_argument("--algorithm", default="drp-cds")
-    simulate.add_argument(
-        "--backend",
-        choices=("python", "numpy", "auto"),
-        default="python",
-        help=(
-            "'python' = discrete-event engine; 'numpy'/'auto' = batched "
-            "vectorized fast path (identical metrics, no events)"
-        ),
-    )
 
     adaptive = subparsers.add_parser(
         "adaptive",
@@ -968,11 +959,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         outcome.allocation,
         num_requests=args.requests,
         seed=args.seed,
-        backend=args.backend,
     )
     print(f"algorithm: {args.algorithm}")
     print(f"requests simulated: {report.num_requests}")
-    print(f"events processed:   {report.events_processed}")
     print(
         f"measured waiting time:   {format_float(report.measured.mean)} "
         f"± {format_float(report.measured.ci_halfwidth)} (95% CI)"

@@ -36,8 +36,6 @@ __all__ = [
     "CDS_INCREMENTAL_SCAN_CROSSOVER",
     "resolve_scan",
     "cds_best_move",
-    "cds_best_move_numpy",
-    "cds_best_move_chunked",
     "CDSPairIndex",
     "best_split_range_numpy",
 ]
@@ -90,55 +88,13 @@ def resolve_scan(scan: str, num_items: int, num_channels: int) -> str:
 # ----------------------------------------------------------------------
 # CDS — broadcasted Δc matrix
 # ----------------------------------------------------------------------
-def cds_best_move_numpy(
-    freq,
-    size,
-    order,
-    group_of,
-    agg_f,
-    agg_z,
-    epsilon: float,
-) -> Optional[Tuple[float, int, int]]:
-    """Best CDS move from one N×K Δc matrix (see ``reference.best_move``).
-
-    Evaluates Eq. (4), ``Δc = f⊗(Z_p − Z_q) + z⊗(F_p − F_q) − 2fz``,
-    for every (item, destination) pair at once.  ``order`` is the flat
-    item-index array in scan order (origin-major, position-minor), so
-    the row-major argmax reproduces the scalar scan's tie-break
-    exactly (first strict maximum in origin → position → destination
-    order wins).
-
-    Returns ``(delta, rank, destination)`` — ``rank`` indexes into
-    ``order`` — or ``None`` when no move beats ``epsilon``.
-    """
-    f = freq[order]
-    z = size[order]
-    origin = group_of[order]
-    origin_f = agg_f[origin]
-    origin_z = agg_z[origin]
-    delta = (
-        f[:, None] * (origin_z[:, None] - agg_z[None, :])
-        + z[:, None] * (origin_f[:, None] - agg_f[None, :])
-        - (2.0 * f * z)[:, None]
-    )
-    # A move to the item's own channel is not a move; mask it out.
-    delta[np.arange(len(order)), origin] = -np.inf
-    flat = int(np.argmax(delta))
-    num_channels = agg_f.shape[0]
-    rank, destination = divmod(flat, num_channels)
-    best = float(delta[rank, destination])
-    if not best > epsilon:
-        return None
-    return best, rank, destination
-
-
 #: Element budget for one Δc chunk (float64 block ≈ 32 MiB).  Above
 #: ``N·K`` elements the full broadcast matrix would dominate peak RSS
 #: (1 GiB at N=10⁶, K=128), so the scan switches to row blocks.
 CDS_DELTA_CHUNK_ELEMENTS = 1 << 22
 
 
-def cds_best_move_chunked(
+def cds_best_move(
     freq,
     size,
     order,
@@ -149,13 +105,20 @@ def cds_best_move_chunked(
     *,
     chunk_elements: int = CDS_DELTA_CHUNK_ELEMENTS,
 ) -> Optional[Tuple[float, int, int]]:
-    """Blocked variant of :func:`cds_best_move_numpy` with bounded RSS.
+    """Best single CDS move (see ``reference.best_move``).
 
-    Scans the rank axis in row blocks of at most ``chunk_elements``
-    matrix entries.  Each block applies the identical elementwise
-    expression, and blocks combine under strict ``>``, so the global
-    first-maximum tie-break (origin → position → destination) and every
-    float are exactly those of the one-shot matrix.
+    Evaluates Eq. (4), ``Δc = f⊗(Z_p − Z_q) + z⊗(F_p − F_q) − 2fz``,
+    for every (item, destination) pair, in row blocks of at most
+    ``chunk_elements`` matrix entries so peak RSS stays bounded; below
+    the budget the whole N×K matrix is one block.  ``order`` is the
+    flat item-index array in scan order (origin-major,
+    position-minor), so the row-major argmax of each block and the
+    strict ``>`` that combines blocks reproduce the scalar scan's
+    tie-break exactly (first strict maximum in origin → position →
+    destination order wins).
+
+    Returns ``(delta, rank, destination)`` — ``rank`` indexes into
+    ``order`` — or ``None`` when no move beats ``epsilon``.
     """
     n = len(order)
     num_channels = agg_f.shape[0]
@@ -175,6 +138,7 @@ def cds_best_move_chunked(
             + z[:, None] * (origin_f[:, None] - agg_f[None, :])
             - (2.0 * f * z)[:, None]
         )
+        # A move to the item's own channel is not a move; mask it out.
         delta[np.arange(len(sel)), origin] = -np.inf
         flat = int(np.argmax(delta))
         rank, destination = divmod(flat, num_channels)
@@ -186,31 +150,6 @@ def cds_best_move_chunked(
     if best_rank < 0 or not best > epsilon:
         return None
     return best, best_rank, best_destination
-
-
-def cds_best_move(
-    freq,
-    size,
-    order,
-    group_of,
-    agg_f,
-    agg_z,
-    epsilon: float,
-) -> Optional[Tuple[float, int, int]]:
-    """Best single CDS move — dispatching Δc scan.
-
-    Routes to the blocked scan when the full ``N×K`` matrix would
-    exceed the chunk budget, and to the one-shot broadcast matrix
-    otherwise.  Both produce identical floats and the identical
-    first-maximum winner, so the choice is purely a memory trade.
-    """
-    if len(order) * agg_f.shape[0] > CDS_DELTA_CHUNK_ELEMENTS:
-        return cds_best_move_chunked(
-            freq, size, order, group_of, agg_f, agg_z, epsilon
-        )
-    return cds_best_move_numpy(
-        freq, size, order, group_of, agg_f, agg_z, epsilon
-    )
 
 
 # ----------------------------------------------------------------------

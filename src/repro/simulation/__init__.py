@@ -1,8 +1,13 @@
-"""Discrete-event broadcast simulation substrate.
+"""Broadcast simulation substrate.
 
-Validates the analytical waiting-time model end-to-end: a deterministic
-event kernel drives cyclic broadcast channels under a Poisson client
-request stream and measures actual waiting times.
+Validates the analytical waiting-time model end-to-end: cyclic
+broadcast channels serve a Poisson client request stream
+(:class:`RequestGenerator`) and the actual waiting times are measured.
+The static program is simulated in closed form
+(:func:`run_broadcast_simulation`); extensions whose state evolves with
+the stream — client caches, on-demand queues, adaptive re-allocation —
+run request by request, the on-demand server on the deterministic event
+kernel (:class:`SimulationEngine`).
 """
 
 from repro.simulation.adaptive import (
@@ -20,7 +25,7 @@ from repro.simulation.cache import (
     simulate_with_cache,
 )
 from repro.simulation.channel import BroadcastChannel
-from repro.simulation.client import Request, RequestGenerator
+from repro.simulation.client import RequestGenerator
 from repro.simulation.disks import (
     MultiScheduleChannel,
     broadcast_disk_schedule,
@@ -52,17 +57,13 @@ from repro.simulation.ondemand import (
     compare_push_pull,
     simulate_on_demand,
 )
-from repro.simulation.metrics import (
-    SummaryStatistics,
-    WaitingTimeCollector,
-    summarize,
-)
-from repro.simulation.batched import (
-    batched_waiting_times,
-    run_batched_simulation,
-)
+from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
-from repro.simulation.simulator import SimulationReport, run_broadcast_simulation
+from repro.simulation.simulator import (
+    SimulationReport,
+    request_waiting_times,
+    run_broadcast_simulation,
+)
 
 __all__ = [
     "Event",
@@ -70,15 +71,12 @@ __all__ = [
     "SimulationEngine",
     "BroadcastChannel",
     "BroadcastProgram",
-    "Request",
     "RequestGenerator",
-    "WaitingTimeCollector",
     "SummaryStatistics",
     "summarize",
     "SimulationReport",
     "run_broadcast_simulation",
-    "batched_waiting_times",
-    "run_batched_simulation",
+    "request_waiting_times",
     "RotatingDrift",
     "EpochReport",
     "run_adaptive_simulation",

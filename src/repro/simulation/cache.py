@@ -26,12 +26,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
+from repro.simulation.client import RequestGenerator
 from repro.simulation.metrics import SummaryStatistics, summarize
 from repro.simulation.server import BroadcastProgram
 
@@ -215,30 +214,23 @@ def simulate_with_cache(
         raise SimulationError(
             f"num_requests must be >= 1, got {num_requests}"
         )
-    if arrival_rate <= 0:
-        raise SimulationError(
-            f"arrival_rate must be positive, got {arrival_rate}"
-        )
+    database = allocation.database
+    generator = RequestGenerator(
+        database, arrival_rate=arrival_rate, seed=seed
+    )
     program = BroadcastProgram(allocation, bandwidth=bandwidth)
     if policy is None:
         policy = LRUPolicy()
     policy.bind(program)
     cache = ClientCache(capacity, policy)
-    database = allocation.database
-    rng = np.random.default_rng(seed)
-    weights = np.array([item.frequency for item in database.items])
-    weights = weights / weights.sum()
-    ids = list(database.item_ids)
+    ids = generator.item_ids
 
-    clock = 0.0
     effective: List[float] = []
     miss_waits: List[float] = []
     hits = 0
-    gaps = rng.exponential(1.0 / arrival_rate, size=num_requests)
-    picks = rng.choice(len(ids), size=num_requests, p=weights)
-    for gap, pick in zip(gaps, picks):
-        clock += float(gap)
-        item_id = ids[int(pick)]
+    arrivals, picks = generator.sample_batch(num_requests)
+    for clock, pick in zip(arrivals.tolist(), picks.tolist()):
+        item_id = ids[pick]
         if cache.touch(item_id, clock):
             hits += 1
             effective.append(0.0)

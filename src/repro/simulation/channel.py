@@ -39,7 +39,14 @@ class BroadcastChannel:
         Channel bandwidth ``b`` in size units per second.
     """
 
-    __slots__ = ("channel_id", "_items", "_bandwidth", "_offsets", "_cycle")
+    __slots__ = (
+        "channel_id",
+        "_items",
+        "_bandwidth",
+        "_offsets",
+        "_downloads",
+        "_cycle",
+    )
 
     def __init__(
         self,
@@ -59,6 +66,7 @@ class BroadcastChannel:
         self._items: Tuple[DataItem, ...] = tuple(items)
         self._bandwidth = float(bandwidth)
         offsets: Dict[str, float] = {}
+        downloads: Dict[str, float] = {}
         elapsed = 0.0
         for item in self._items:
             if item.item_id in offsets:
@@ -66,9 +74,12 @@ class BroadcastChannel:
                     f"item {item.item_id!r} appears twice on channel "
                     f"{channel_id}"
                 )
+            download = item.size / self._bandwidth
             offsets[item.item_id] = elapsed
-            elapsed += item.size / self._bandwidth
+            downloads[item.item_id] = download
+            elapsed += download
         self._offsets = offsets
+        self._downloads = downloads
         self._cycle = elapsed
 
     @property
@@ -89,15 +100,11 @@ class BroadcastChannel:
 
     def transmission_time(self, item_id: str) -> float:
         """Download duration ``z / b`` of one item."""
-        return self._item(item_id).size / self._bandwidth
+        return self._lookup(self._downloads, item_id)
 
     def slot_offset(self, item_id: str) -> float:
         """Start offset of the item's slot within a cycle (seconds)."""
-        if item_id not in self._offsets:
-            raise SimulationError(
-                f"channel {self.channel_id} does not carry {item_id!r}"
-            )
-        return self._offsets[item_id]
+        return self._lookup(self._offsets, item_id)
 
     def next_transmission_start(self, item_id: str, tune_in: float) -> float:
         """Earliest start ≥ ``tune_in`` of a full transmission of the item.
@@ -136,13 +143,13 @@ class BroadcastChannel:
         """
         return self._cycle / 2.0 + self.transmission_time(item_id)
 
-    def _item(self, item_id: str) -> DataItem:
-        for item in self._items:
-            if item.item_id == item_id:
-                return item
-        raise SimulationError(
-            f"channel {self.channel_id} does not carry {item_id!r}"
-        )
+    def _lookup(self, table: Dict[str, float], item_id: str) -> float:
+        try:
+            return table[item_id]
+        except KeyError:
+            raise SimulationError(
+                f"channel {self.channel_id} does not carry {item_id!r}"
+            ) from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

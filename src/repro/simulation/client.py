@@ -12,24 +12,16 @@ tests and one example).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+import math
+from numbers import Real
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.database import BroadcastDatabase
 from repro.exceptions import SimulationError
 
-__all__ = ["Request", "RequestGenerator"]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One client request: which item, and when the client tuned in."""
-
-    request_id: int
-    item_id: str
-    arrival_time: float
+__all__ = ["RequestGenerator"]
 
 
 class RequestGenerator:
@@ -41,13 +33,13 @@ class RequestGenerator:
         The broadcast database; request probabilities default to its
         access frequencies (renormalised defensively).
     arrival_rate:
-        Poisson rate λ in requests per second.
+        Poisson rate λ in requests per second; finite and positive.
     seed:
         RNG seed for reproducible streams.
     request_probabilities:
         Optional override of the per-item request distribution (same
-        order as ``database.items``); must be non-negative and sum to a
-        positive value.  Used to model client populations whose actual
+        order as ``database.items``); must be finite, non-negative and
+        sum to a positive value.  Used to model client populations whose actual
         interests drifted from the collected profile.
     """
 
@@ -59,9 +51,14 @@ class RequestGenerator:
         seed: int = 0,
         request_probabilities: Optional[Sequence[float]] = None,
     ) -> None:
-        if not (isinstance(arrival_rate, (int, float)) and arrival_rate > 0):
+        if not (
+            isinstance(arrival_rate, Real)
+            and math.isfinite(arrival_rate)
+            and arrival_rate > 0
+        ):
             raise SimulationError(
-                f"arrival_rate must be positive, got {arrival_rate!r}"
+                f"arrival_rate must be finite and positive, "
+                f"got {arrival_rate!r}"
             )
         self._database = database
         self._rate = float(arrival_rate)
@@ -77,13 +74,17 @@ class RequestGenerator:
                     f"got {len(weights)} request probabilities for "
                     f"{len(database)} items"
                 )
-            if np.any(weights < 0) or weights.sum() <= 0:
+            if (
+                not np.all(np.isfinite(weights))
+                or np.any(weights < 0)
+                or weights.sum() <= 0
+            ):
                 raise SimulationError(
-                    "request probabilities must be non-negative with a "
-                    "positive sum"
+                    "request probabilities must be finite and non-negative "
+                    "with a positive sum"
                 )
         self._probabilities = weights / weights.sum()
-        self._item_ids = list(database.item_ids)
+        self._item_ids = tuple(database.item_ids)
 
     @property
     def arrival_rate(self) -> float:
@@ -92,7 +93,7 @@ class RequestGenerator:
     @property
     def item_ids(self) -> Sequence[str]:
         """Item ids in draw-index order (``sample_batch`` indices)."""
-        return tuple(self._item_ids)
+        return self._item_ids
 
     def sample_batch(
         self, num_requests: int
@@ -101,12 +102,10 @@ class RequestGenerator:
 
         Returns ``(arrival_times, item_indices)``: the cumulative
         arrival clock of every request and the index (into
-        ``database.items`` order) of the item it asks for.  This is the
-        *exact* draw sequence :meth:`generate` wraps in
-        :class:`Request` objects — one exponential batch, then one
-        choice batch, then a sequential sum — so the event-driven and
-        batched simulation paths see bitwise-identical streams for the
-        same seed.
+        ``database.items`` order) of the item it asks for.  The draws
+        are one exponential batch, then one choice batch, then a
+        sequential sum, so the same seed gives the same stream to every
+        simulator that consumes it.
         """
         if num_requests < 0:
             raise SimulationError(
@@ -120,13 +119,3 @@ class RequestGenerator:
         # add.accumulate is a strictly sequential left-to-right sum, the
         # same float64 additions a per-request `clock += gap` loop does.
         return np.add.accumulate(gaps), picks
-
-    def generate(self, num_requests: int) -> Iterator[Request]:
-        """Yield ``num_requests`` requests with increasing arrival times."""
-        arrivals, picks = self.sample_batch(num_requests)
-        for request_id in range(num_requests):
-            yield Request(
-                request_id=request_id,
-                item_id=self._item_ids[int(picks[request_id])],
-                arrival_time=float(arrivals[request_id]),
-            )

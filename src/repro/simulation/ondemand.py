@@ -36,12 +36,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH, average_waiting_time
 from repro.core.database import BroadcastDatabase
 from repro.exceptions import SimulationError
+from repro.simulation.client import RequestGenerator
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import EventPriority
 from repro.simulation.metrics import SummaryStatistics, summarize
@@ -183,15 +182,12 @@ def simulate_on_demand(
         raise SimulationError(
             f"num_requests must be >= 1, got {num_requests}"
         )
-    if arrival_rate <= 0 or bandwidth <= 0:
-        raise SimulationError(
-            "arrival_rate and bandwidth must be positive"
-        )
-
-    rng = np.random.default_rng(seed)
-    weights = np.array([item.frequency for item in database.items])
-    weights = weights / weights.sum()
-    ids = list(database.item_ids)
+    if bandwidth <= 0:
+        raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
+    generator = RequestGenerator(
+        database, arrival_rate=arrival_rate, seed=seed
+    )
+    ids = generator.item_ids
     sizes = {item.item_id: item.size for item in database.items}
 
     engine = SimulationEngine()
@@ -230,12 +226,9 @@ def simulate_on_demand(
                 completion, on_complete, priority=EventPriority.DELIVERY
             )
 
-    gaps = rng.exponential(1.0 / arrival_rate, size=num_requests)
-    picks = rng.choice(len(ids), size=num_requests, p=weights)
-    clock = 0.0
-    for gap, pick in zip(gaps, picks):
-        clock += float(gap)
-        item_id = ids[int(pick)]
+    arrivals, picks = generator.sample_batch(num_requests)
+    for clock, pick in zip(arrivals.tolist(), picks.tolist()):
+        item_id = ids[pick]
 
         def on_arrival(item_id=item_id, arrival=clock) -> None:
             entry = queue.get(item_id)

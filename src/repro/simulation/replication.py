@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.allocation import ChannelAllocation
 from repro.core.cost import DEFAULT_BANDWIDTH
 from repro.core.database import BroadcastDatabase
 from repro.core.item import DataItem
 from repro.exceptions import SimulationError
 from repro.simulation.channel import BroadcastChannel
+from repro.simulation.client import RequestGenerator
 from repro.simulation.metrics import SummaryStatistics, summarize
 
 __all__ = [
@@ -171,27 +170,17 @@ def simulate_replicated_program(
         raise SimulationError(
             f"num_requests must be >= 1, got {num_requests}"
         )
-    if arrival_rate <= 0:
-        raise SimulationError(
-            f"arrival_rate must be positive, got {arrival_rate}"
-        )
-    database = program.database
-    rng = np.random.default_rng(seed)
-    if request_probabilities is None:
-        weights = np.array([item.frequency for item in database.items])
-    else:
-        weights = np.asarray(request_probabilities, dtype=np.float64)
-        if len(weights) != len(database):
-            raise SimulationError(
-                f"got {len(weights)} probabilities for {len(database)} items"
-            )
-    weights = weights / weights.sum()
-    ids = list(database.item_ids)
-    clock = 0.0
-    waits: List[float] = []
-    gaps = rng.exponential(1.0 / arrival_rate, size=num_requests)
-    picks = rng.choice(len(ids), size=num_requests, p=weights)
-    for gap, pick in zip(gaps, picks):
-        clock += float(gap)
-        waits.append(program.waiting_time(ids[int(pick)], clock))
-    return summarize(waits)
+    generator = RequestGenerator(
+        program.database,
+        arrival_rate=arrival_rate,
+        seed=seed,
+        request_probabilities=request_probabilities,
+    )
+    ids = generator.item_ids
+    arrivals, picks = generator.sample_batch(num_requests)
+    return summarize(
+        [
+            program.waiting_time(ids[pick], clock)
+            for clock, pick in zip(arrivals.tolist(), picks.tolist())
+        ]
+    )

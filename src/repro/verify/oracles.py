@@ -2,8 +2,8 @@
 
 The repo deliberately keeps redundant implementations of each layer —
 the numpy kernels vs the scalar loops of :mod:`repro.verify.reference`,
-serial vs process-pool sweeps, event-driven vs batched simulation, cold
-vs warm-started refinement.  Each pair is
+the closed-form simulator vs the event-driven reference, serial vs
+process-pool sweeps, cold vs warm-started refinement.  Each pair is
 documented as producing identical results (bitwise, except where a
 tolerance is declared below), which turns every pair into a free test
 oracle: run both halves on the same seeded input and diff.
@@ -25,9 +25,9 @@ The four oracle pairs (named ``oracle.<slug>``):
     identical move sequences (every float), costs and groupings, cold
     and seeded.
 ``simulators``
-    Event-driven engine vs the batched fast path — measured statistics
-    bitwise identical (``events_processed`` is exempt: the batched path
-    reports 0 by design).
+    The closed-form production simulator vs the event-driven
+    :func:`repro.verify.reference.run_broadcast_simulation` — measured,
+    per-item and analytical statistics bitwise identical.
 ``serial-parallel``
     ``run_experiment`` with ``workers=None`` vs ``workers=2`` — rows
     bitwise identical except wall-clock ``elapsed`` aggregates.
@@ -403,48 +403,45 @@ def oracle_simulators(
     num_requests: int = 400,
     seed: int = 0,
 ) -> List[Violation]:
-    """Event-driven and batched simulation agree bitwise on statistics.
-
-    ``events_processed`` is exempt by design (the batched path does not
-    enqueue events and reports 0).
-    """
+    """Production and event-driven reference simulation agree bitwise."""
     name = "oracle.simulators"
     violations: List[Violation] = []
-    engine = run_broadcast_simulation(
-        allocation, num_requests=num_requests, seed=seed, backend="python"
+    engine = reference.run_broadcast_simulation(
+        allocation, num_requests=num_requests, seed=seed
     )
-    batched = run_broadcast_simulation(
-        allocation, num_requests=num_requests, seed=seed, backend="numpy"
+    production = run_broadcast_simulation(
+        allocation, num_requests=num_requests, seed=seed
     )
-    if engine.measured != batched.measured:
+    if engine.measured != production.measured:
         violations.append(
             _violation(
                 name,
-                f"measured summaries diverge: engine {engine.measured} vs "
-                f"batched {batched.measured}",
+                f"measured summaries diverge: reference {engine.measured} "
+                f"vs production {production.measured}",
             )
         )
-    if engine.analytical_waiting_time != batched.analytical_waiting_time:
+    if engine.analytical_waiting_time != production.analytical_waiting_time:
         violations.append(
             _violation(
                 name,
                 f"analytical W_b diverges: {engine.analytical_waiting_time!r}"
-                f" vs {batched.analytical_waiting_time!r}",
+                f" vs {production.analytical_waiting_time!r}",
             )
         )
-    if engine.num_requests != batched.num_requests:
+    if engine.num_requests != production.num_requests:
         violations.append(
             _violation(
                 name,
                 f"request counts diverge: {engine.num_requests} vs "
-                f"{batched.num_requests}",
+                f"{production.num_requests}",
             )
         )
-    if engine.per_item != batched.per_item:
+    if engine.per_item != production.per_item:
         mismatched = sorted(
             item_id
-            for item_id in set(engine.per_item) | set(batched.per_item)
-            if engine.per_item.get(item_id) != batched.per_item.get(item_id)
+            for item_id in set(engine.per_item) | set(production.per_item)
+            if engine.per_item.get(item_id)
+            != production.per_item.get(item_id)
         )
         violations.append(
             _violation(

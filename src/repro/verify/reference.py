@@ -1,8 +1,10 @@
-"""Scalar reference implementations the production kernels answer to.
+"""Reference implementations the production paths answer to.
 
 The core (:mod:`repro.core`) has one implementation of each hot path:
 numpy kernels for Procedure ``Partition``'s split scan and CDS's Eq. (4)
-move search, and SMAWK for the contiguous DP.  This module keeps the
+move search, and SMAWK for the contiguous DP.  The simulator
+(:mod:`repro.simulation.simulator`) has one too: closed-form waiting
+times over the channels' cycle geometry.  This module keeps the
 textbook loops they replaced, for the differential oracles and the
 tests only — nothing in the production pipeline imports it:
 
@@ -12,28 +14,43 @@ tests only — nothing in the production pipeline imports it:
 * :func:`contiguous_quadratic` — the O(K·N²) textbook DP;
 * :func:`contiguous_divide_conquer` — the O(K·N log N)
   divide-and-conquer DP, the only reference that still runs at the
-  N = 10⁵–10⁶ sizes where SMAWK is smoke-tested.
+  N = 10⁵–10⁶ sizes where SMAWK is smoke-tested;
+* :func:`run_broadcast_simulation` — the event-driven simulation, two
+  events per request on the discrete-event engine, with its
+  :class:`WaitingTimeCollector`.
 
 Every reference evaluates the same float expressions in the same order
 as its production counterpart, so agreement is bitwise: identical
-split indices, move sequences, DP costs and tie-breaks.
+split indices, move sequences, DP costs, tie-breaks and waiting-time
+statistics.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.cds import _IMPROVEMENT_EPSILON, CDSMove, CDSResult
-from repro.core.cost import allocation_cost, move_delta
+from repro.core.cost import (
+    DEFAULT_BANDWIDTH,
+    allocation_cost,
+    average_waiting_time,
+    move_delta,
+)
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import DRPResult, _drp_allocate
 from repro.core.item import DataItem
 from repro.core.partition import PrefixSums, _backtrack
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, SimulationError
+from repro.simulation.client import RequestGenerator
+from repro.simulation.engine import SimulationEngine
+from repro.simulation.events import EventPriority
+from repro.simulation.metrics import SummaryStatistics, summarize
+from repro.simulation.server import BroadcastProgram
+from repro.simulation.simulator import SimulationReport
 
 __all__ = [
     "best_split_in",
@@ -43,6 +60,8 @@ __all__ = [
     "cds_refine",
     "contiguous_quadratic",
     "contiguous_divide_conquer",
+    "WaitingTimeCollector",
+    "run_broadcast_simulation",
 ]
 
 
@@ -307,3 +326,113 @@ def contiguous_divide_conquer(
             stack.append((mid + 1, hi, best_j, j_hi))
         dp_prev = dp_cur
     return _backtrack(choice, n, num_groups), float(dp_prev[n])
+
+
+# ----------------------------------------------------------------------
+# Broadcast simulation
+# ----------------------------------------------------------------------
+class WaitingTimeCollector:
+    """Accumulates waiting-time observations from a simulation run."""
+
+    def __init__(self) -> None:
+        self._samples: List[float] = []
+        self._by_item: Dict[str, List[float]] = {}
+
+    def record(self, item_id: str, waiting_time: float) -> None:
+        """Record one completed request."""
+        if waiting_time < 0:
+            raise ValueError(
+                f"waiting time cannot be negative, got {waiting_time}"
+            )
+        self._samples.append(waiting_time)
+        self._by_item.setdefault(item_id, []).append(waiting_time)
+
+    @property
+    def count(self) -> int:
+        return len(self._samples)
+
+    @property
+    def item_ids(self) -> Tuple[str, ...]:
+        return tuple(self._by_item)
+
+    def overall(self, *, z_value: float = 1.96) -> SummaryStatistics:
+        """Summary over all requests — the empirical :math:`W_b`."""
+        return summarize(self._samples, z_value=z_value)
+
+    def for_item(
+        self, item_id: str, *, z_value: float = 1.96
+    ) -> Optional[SummaryStatistics]:
+        """Summary for one item, or ``None`` if it was never requested."""
+        samples = self._by_item.get(item_id)
+        if not samples:
+            return None
+        return summarize(samples, z_value=z_value)
+
+
+def run_broadcast_simulation(
+    allocation: ChannelAllocation,
+    *,
+    bandwidth: float = DEFAULT_BANDWIDTH,
+    bandwidths: Optional[Sequence[float]] = None,
+    num_requests: int = 10_000,
+    arrival_rate: float = 1.0,
+    seed: int = 0,
+    request_probabilities: Optional[Sequence[float]] = None,
+) -> SimulationReport:
+    """Event-driven :func:`repro.simulation.simulator.run_broadcast_simulation`.
+
+    Each request of the same :meth:`RequestGenerator.sample_batch`
+    stream becomes an ARRIVAL event; its handler asks the carrying
+    channel for the completion time of the next full transmission and
+    schedules a DELIVERY event there, whose handler records the waiting
+    time.  Same parameters and report as production (uninstrumented).
+    """
+    if num_requests < 1:
+        raise SimulationError(f"num_requests must be >= 1, got {num_requests}")
+    program = BroadcastProgram(
+        allocation, bandwidth=bandwidth, bandwidths=bandwidths
+    )
+    generator = RequestGenerator(
+        allocation.database,
+        arrival_rate=arrival_rate,
+        seed=seed,
+        request_probabilities=request_probabilities,
+    )
+    engine = SimulationEngine()
+    collector = WaitingTimeCollector()
+
+    def make_arrival_handler(item_id: str, arrival_time: float):
+        def on_arrival() -> None:
+            completion = program.channel_for(item_id).delivery_completion(
+                item_id, engine.now
+            )
+
+            def on_delivery() -> None:
+                collector.record(item_id, engine.now - arrival_time)
+
+            engine.schedule_at(
+                completion, on_delivery, priority=EventPriority.DELIVERY
+            )
+
+        return on_arrival
+
+    arrivals, picks = generator.sample_batch(num_requests)
+    item_ids = generator.item_ids
+    for arrival_time, pick in zip(arrivals.tolist(), picks.tolist()):
+        engine.schedule_at(
+            arrival_time,
+            make_arrival_handler(item_ids[pick], arrival_time),
+            priority=EventPriority.ARRIVAL,
+        )
+    engine.run()
+    return SimulationReport(
+        measured=collector.overall(),
+        analytical_waiting_time=average_waiting_time(
+            allocation, bandwidth=bandwidth
+        ),
+        num_requests=collector.count,
+        per_item={
+            item_id: collector.for_item(item_id)
+            for item_id in collector.item_ids
+        },
+    )

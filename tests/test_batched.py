@@ -1,9 +1,9 @@
-"""Parity tests: batched simulation vs the discrete-event engine.
+"""Parity tests: closed-form simulation vs the event-driven reference.
 
-The batched path promises *bitwise-identical* measured statistics to
-the event-driven engine for the same seed — same request stream, same
-per-request waiting times, same exact-fsum summaries — with
-``events_processed = 0`` as the only sanctioned difference.
+The production simulator promises *bitwise-identical* statistics to
+the event-driven :func:`repro.verify.reference.run_broadcast_simulation`
+for the same seed — same request stream, same per-request waiting
+times, same exact-fsum summaries.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import pytest
 from repro.core.allocation import ChannelAllocation
 from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import SimulationError
-from repro.simulation.batched import (
-    batched_waiting_times,
-    run_batched_simulation,
-)
 from repro.simulation.client import RequestGenerator
 from repro.simulation.server import BroadcastProgram
-from repro.simulation.simulator import run_broadcast_simulation
+from repro.simulation.simulator import (
+    request_waiting_times,
+    run_broadcast_simulation,
+)
+from repro.verify import reference
 
 
 @pytest.fixture
@@ -38,18 +38,15 @@ def assert_reports_match(engine_report, batched_report):
     )
 
 
-class TestSampleBatch:
-    def test_matches_generate_stream(self, medium_db):
-        a = RequestGenerator(medium_db, seed=11)
-        b = RequestGenerator(medium_db, seed=11)
-        arrivals, picks = a.sample_batch(500)
-        requests = list(b.generate(500))
-        assert [r.arrival_time for r in requests] == arrivals.tolist()
-        item_ids = a.item_ids
-        assert [r.item_id for r in requests] == [
-            item_ids[int(p)] for p in picks
-        ]
+def both(allocation, **kwargs):
+    """(event-driven reference, production) reports for one input."""
+    return (
+        reference.run_broadcast_simulation(allocation, **kwargs),
+        run_broadcast_simulation(allocation, **kwargs),
+    )
 
+
+class TestSampleBatch:
     def test_empty_batch(self, medium_db):
         arrivals, picks = RequestGenerator(medium_db).sample_batch(0)
         assert arrivals.size == 0 and picks.size == 0
@@ -65,7 +62,7 @@ class TestBatchedWaitingTimes:
         generator = RequestGenerator(allocation.database, seed=3)
         arrivals, picks = generator.sample_batch(300)
         item_ids = generator.item_ids
-        waits = batched_waiting_times(program, item_ids, arrivals, picks)
+        waits = request_waiting_times(program, item_ids, arrivals, picks)
         for i in range(300):
             expected = program.waiting_time(
                 item_ids[int(picks[i])], float(arrivals[i])
@@ -76,7 +73,7 @@ class TestBatchedWaitingTimes:
         program = BroadcastProgram(allocation)
         generator = RequestGenerator(allocation.database, seed=5)
         arrivals, picks = generator.sample_batch(1000)
-        waits = batched_waiting_times(
+        waits = request_waiting_times(
             program, generator.item_ids, arrivals, picks
         )
         min_download = min(
@@ -90,38 +87,15 @@ class TestBatchedWaitingTimes:
 class TestEngineParity:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_identical_reports(self, allocation, seed):
-        engine = run_broadcast_simulation(
-            allocation, num_requests=2000, seed=seed, backend="python"
-        )
-        batched = run_broadcast_simulation(
-            allocation, num_requests=2000, seed=seed, backend="numpy"
-        )
+        engine, batched = both(allocation, num_requests=2000, seed=seed)
         assert_reports_match(engine, batched)
-        assert engine.events_processed == 4000
-        assert batched.events_processed == 0
-
-    def test_auto_backend_selects_batched(self, allocation):
-        report = run_broadcast_simulation(
-            allocation, num_requests=500, seed=0, backend="auto"
-        )
-        assert report.events_processed == 0
+        assert batched.num_requests == 2000
 
     def test_heterogeneous_bandwidths_parity(self, allocation):
         bandwidths = [10.0] * allocation.num_channels
         bandwidths[0] = 40.0
-        engine = run_broadcast_simulation(
-            allocation,
-            bandwidths=bandwidths,
-            num_requests=1500,
-            seed=2,
-            backend="python",
-        )
-        batched = run_broadcast_simulation(
-            allocation,
-            bandwidths=bandwidths,
-            num_requests=1500,
-            seed=2,
-            backend="numpy",
+        engine, batched = both(
+            allocation, bandwidths=bandwidths, num_requests=1500, seed=2
         )
         assert_reports_match(engine, batched)
 
@@ -132,37 +106,18 @@ class TestEngineParity:
             1.0 if item.item_id == cold.item_id else 0.0
             for item in database.items
         ]
-        engine = run_broadcast_simulation(
+        engine, batched = both(
             allocation,
             num_requests=800,
             seed=0,
             request_probabilities=probabilities,
-            backend="python",
-        )
-        batched = run_broadcast_simulation(
-            allocation,
-            num_requests=800,
-            seed=0,
-            request_probabilities=probabilities,
-            backend="numpy",
         )
         assert_reports_match(engine, batched)
         assert set(batched.per_item) == {cold.item_id}
 
     def test_arrival_rate_parity(self, allocation):
-        engine = run_broadcast_simulation(
-            allocation,
-            num_requests=1000,
-            arrival_rate=12.5,
-            seed=4,
-            backend="python",
-        )
-        batched = run_broadcast_simulation(
-            allocation,
-            num_requests=1000,
-            arrival_rate=12.5,
-            seed=4,
-            backend="numpy",
+        engine, batched = both(
+            allocation, num_requests=1000, arrival_rate=12.5, seed=4
         )
         assert_reports_match(engine, batched)
 
@@ -170,26 +125,19 @@ class TestEngineParity:
         allocation = ChannelAllocation(
             tiny_db, [tiny_db.items[:2], tiny_db.items[2:]]
         )
-        engine = run_broadcast_simulation(
-            allocation, num_requests=400, seed=9, backend="python"
-        )
-        batched = run_broadcast_simulation(
-            allocation, num_requests=400, seed=9, backend="numpy"
-        )
+        engine, batched = both(allocation, num_requests=400, seed=9)
         assert_reports_match(engine, batched)
 
 
 class TestValidation:
-    def test_bad_backend_rejected(self, allocation):
-        with pytest.raises(SimulationError, match="backend"):
-            run_broadcast_simulation(allocation, backend="fortran")
-
     def test_bad_request_count(self, allocation):
         with pytest.raises(SimulationError):
-            run_batched_simulation(allocation, num_requests=0)
+            run_broadcast_simulation(allocation, num_requests=0)
+        with pytest.raises(SimulationError):
+            reference.run_broadcast_simulation(allocation, num_requests=0)
 
     def test_analytical_model_still_converges(self, allocation):
-        report = run_batched_simulation(
+        report = run_broadcast_simulation(
             allocation, num_requests=40_000, seed=1
         )
         assert report.relative_error < 0.03

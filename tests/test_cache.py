@@ -195,3 +195,9 @@ class TestSimulateWithCache:
             simulate_with_cache(
                 allocation, capacity=10.0, arrival_rate=0.0
             )
+
+    def test_nan_arrival_rate_names_the_input(self, allocation):
+        with pytest.raises(SimulationError, match="arrival_rate"):
+            simulate_with_cache(
+                allocation, capacity=10.0, arrival_rate=float("nan")
+            )

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import kernels
 from repro.core.allocation import ChannelAllocation
-from repro.core.cds import cds_refine
+from repro.core.cds import _IMPROVEMENT_EPSILON, cds_refine
 from repro.core.cost import allocation_cost
 from repro.core.database import BroadcastDatabase
 from repro.core.drp import drp_allocate
@@ -275,6 +275,70 @@ class TestChunkedScanDeterminism:
         monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
         threaded = cds_refine(seed, scan="incremental")
         assert_identical_runs(serial, threaded)
+
+
+def best_move_state(allocation):
+    """The full-scan kernel's inputs for one allocation (fresh arrays)."""
+    database = allocation.database
+    groups = allocation.channel_index_groups
+    group_of = np.empty(len(database), dtype=np.intp)
+    for channel, members in enumerate(groups):
+        group_of[members] = channel
+    agg_f = np.array([stat.frequency for stat in allocation.channel_stats])
+    agg_z = np.array([stat.size for stat in allocation.channel_stats])
+    return (
+        np.array(database.frequencies, dtype=np.float64),
+        np.array(database.sizes, dtype=np.float64),
+        np.concatenate(groups).astype(np.intp),
+        group_of,
+        agg_f,
+        agg_z,
+        _IMPROVEMENT_EPSILON,
+    )
+
+
+class TestBlockedBestMove:
+    """``kernels.cds_best_move`` scans the N×K Δc matrix in row blocks;
+    any block size must return the one-block ``(delta, rank,
+    destination)``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_block_size_matches_one_block(self, seed):
+        db = generate_database(
+            WorkloadSpec(num_items=90, skewness=0.8, diversity=1.5, seed=seed)
+        )
+        state = best_move_state(worst_case_seed(db, 6))
+        one_block = kernels.cds_best_move(*state)
+        assert one_block is not None
+        for rows in (1, 2, 7, 16, 89):
+            assert (
+                kernels.cds_best_move(*state, chunk_elements=rows * 6)
+                == one_block
+            )
+
+    def test_tie_across_block_boundary_keeps_first(self, medium_db):
+        state = best_move_state(worst_case_seed(medium_db, 5))
+        freq, size, order, group_of = state[:4]
+        delta, rank, destination = kernels.cds_best_move(*state)
+        # Clone the winner onto another item of its origin channel: the
+        # two rows of Δc are then bitwise equal, and the earlier rank
+        # must win whichever block each falls in.
+        origin_ranks = np.flatnonzero(
+            group_of[order] == group_of[order[rank]]
+        )
+        partner = int(
+            origin_ranks[-1] if origin_ranks[-1] != rank else origin_ranks[0]
+        )
+        freq[order[partner]] = freq[order[rank]]
+        size[order[partner]] = size[order[rank]]
+        expected = (delta, min(rank, partner), destination)
+        assert kernels.cds_best_move(*state) == expected
+        for rows in (1, abs(partner - rank)):
+            assert rank // rows != partner // rows
+            assert (
+                kernels.cds_best_move(*state, chunk_elements=rows * 5)
+                == expected
+            )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for repro.simulation.metrics."""
+"""Unit tests for repro.simulation.metrics and the reference collector."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro.simulation.metrics import WaitingTimeCollector, summarize
+from repro.simulation.metrics import summarize
+from repro.verify.reference import WaitingTimeCollector
 
 
 class TestSummarize:

@@ -132,6 +132,10 @@ class TestSimulateOnDemand:
         with pytest.raises(SimulationError):
             simulate_on_demand(db, arrival_rate=0.0)
 
+    def test_nan_arrival_rate_names_the_input(self, db):
+        with pytest.raises(SimulationError, match="arrival_rate"):
+            simulate_on_demand(db, arrival_rate=float("nan"))
+
 
 class TestPushPullComparison:
     def test_crossover_shape(self, db):

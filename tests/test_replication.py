@@ -221,3 +221,15 @@ class TestSimulation:
             simulate_replicated_program(
                 program, request_probabilities=[1.0]
             )
+
+    @pytest.mark.parametrize("fill", [-1.0, 0.0])
+    def test_bad_probabilities_name_the_input(
+        self, allocation, medium_db, fill
+    ):
+        # Negative or all-zero weights are rejected up front, not left
+        # to numpy's sampler.
+        program = ReplicatedProgram(medium_db, allocation.channels)
+        with pytest.raises(SimulationError, match="request probabilities"):
+            simulate_replicated_program(
+                program, request_probabilities=[fill] * len(medium_db)
+            )

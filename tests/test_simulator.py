@@ -8,6 +8,7 @@ from repro.core.allocation import ChannelAllocation
 from repro.core.scheduler import DRPCDSAllocator
 from repro.exceptions import SimulationError
 from repro.simulation.simulator import run_broadcast_simulation
+from repro.verify import reference
 
 
 @pytest.fixture
@@ -21,7 +22,11 @@ class TestRunSimulation:
             allocation, num_requests=2000, seed=0
         )
         assert report.num_requests == 2000
-        assert report.events_processed == 4000  # arrival + delivery each
+        # Every request served, exactly as the event-driven reference
+        # (one arrival and one delivery event per request) serves it.
+        assert report == reference.run_broadcast_simulation(
+            allocation, num_requests=2000, seed=0
+        )
         assert report.measured.count == 2000
         assert report.per_item  # at least the hot items appear
 
